@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .dynamics import SplitStepConfig
@@ -137,66 +138,80 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Key:
+    # RunConfig attribute the value lands in; "part.field" names a field of
+    # the sub-config in RunConfig.part (see _PARTS).
+    attr: str
     convert: Callable[[str], object]
     default: object = _REQUIRED
     check: Callable[[object], str | None] | None = None
 
 
+# Section and key order here is the order serialize_config writes.
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "mesh": {
-        "r_min": _Key(_to_float, check=_positive),
-        "r_max": _Key(_to_float, check=_positive),
-        "h": _Key(_to_float, check=_positive),
-        "n_circles": _Key(_to_int, default=None, check=_at_least(2)),
-        "n_points": _Key(_to_int, default=None, check=_at_least(3)),
-        "match_paper_counts": _Key(_to_bool, default=False),
+        "r_min": _Key("mesh.r_min", _to_float, check=_positive),
+        "r_max": _Key("mesh.r_max", _to_float, check=_positive),
+        "h": _Key("mesh.h", _to_float, check=_positive),
+        "n_circles": _Key("mesh.n_circles", _to_int, default=None, check=_at_least(2)),
+        "n_points": _Key("mesh.n_points", _to_int, default=None, check=_at_least(3)),
+        "match_paper_counts": _Key("mesh.match_paper_counts", _to_bool, default=False),
     },
     "physics": {
-        "bc": _Key(_to_choice("dirichlet", "neumann"), default="dirichlet"),
-        "m": _Key(_to_float, default=10.0, check=_positive),
-        "V0": _Key(_to_float, default=100.0, check=_nonnegative),
-        "gamma": _Key(_to_float, default=100.0, check=_nonnegative),
-        "V_p": _Key(_to_float, default=0.0, check=_unit_range),
-        "n_theta": _Key(_to_int, default=0, check=_nonnegative),
-        "omega": _Key(_to_float, default=0.0),
+        "bc": _Key("bc", _to_choice("dirichlet", "neumann"), default="dirichlet"),
+        "m": _Key("potential.m", _to_float, default=10.0, check=_positive),
+        "V0": _Key("potential.V0", _to_float, default=100.0, check=_nonnegative),
+        "gamma": _Key("gamma", _to_float, default=100.0, check=_nonnegative),
+        "V_p": _Key("potential.V_p", _to_float, default=0.0, check=_unit_range),
+        "n_theta": _Key("potential.n_theta", _to_int, default=0, check=_nonnegative),
+        "omega": _Key("potential.omega", _to_float, default=0.0),
     },
     "flow": {
-        "kappa0": _Key(_to_float, default=1e-2, check=_positive),
-        "epsilon": _Key(_to_float, default=5e-3, check=_positive),
-        "max_iters": _Key(_to_int, default=50000, check=_at_least(1)),
+        "kappa0": _Key("flow.kappa0", _to_float, default=1e-2, check=_positive),
+        "epsilon": _Key("flow.epsilon", _to_float, default=5e-3, check=_positive),
+        "max_iters": _Key("flow.max_iters", _to_int, default=50000, check=_at_least(1)),
     },
     "split": {
-        "tau": _Key(_to_float, default=1e-3, check=_positive),
-        "t_max": _Key(_to_float, default=1.0, check=_positive),
-        "snapshot_stride": _Key(_to_int, default=0, check=_nonnegative),
-        "fuse": _Key(_to_bool, default=True),
-        "initial": _Key(_to_choice(INITIAL_GROUND_STATE, INITIAL_UNSTABLE),
+        "tau": _Key("split.tau", _to_float, default=1e-3, check=_positive),
+        "t_max": _Key("split.t_max", _to_float, default=1.0, check=_positive),
+        "snapshot_stride": _Key("split.snapshot_stride", _to_int, default=0,
+                                check=_nonnegative),
+        "initial": _Key("initial", _to_choice(INITIAL_GROUND_STATE, INITIAL_UNSTABLE),
                         default=INITIAL_GROUND_STATE),
     },
     "detect": {
-        "tol1": _Key(_to_float, default=0.1, check=_positive),
-        "tol2": _Key(_to_float, default=0.05, check=_positive),
-        "lambda_max": _Key(_to_int, default=10, check=_at_least(1)),
-        "delta": _Key(_to_float, default=0.1, check=_positive),
-        "vort_threshold": _Key(_to_float, default=50.0, check=_positive),
+        "tol1": _Key("detect.tol1", _to_float, default=0.1, check=_positive),
+        "tol2": _Key("detect.tol2", _to_float, default=0.05, check=_positive),
+        "lambda_max": _Key("detect.lambda_max", _to_int, default=10, check=_at_least(1)),
+        "delta": _Key("detect.delta", _to_float, default=0.1, check=_positive),
+        "vort_threshold": _Key("detect.vort_threshold", _to_float, default=50.0,
+                               check=_positive),
     },
     "modes": {
-        "p_max": _Key(_to_int, default=3, check=_nonnegative),
-        "l_max": _Key(_to_int, default=80, check=_nonnegative),
-        "n": _Key(_to_int, default=500, check=_at_least(2)),
+        "p_max": _Key("modes_p_max", _to_int, default=3, check=_nonnegative),
+        "l_max": _Key("modes_l_max", _to_int, default=80, check=_nonnegative),
+        "n": _Key("modes_n", _to_int, default=500, check=_at_least(2)),
     },
     "harness": {
-        "space_h": _Key(_to_float_list, default=(0.1, 0.05, 0.025),
+        "space_h": _Key("space_h", _to_float_list, default=(0.1, 0.05, 0.025),
                         check=_all_positive),
-        "space_beta_max": _Key(_to_int, default=3, check=_at_least(1)),
-        "time_k_min": _Key(_to_int, default=5, check=_at_least(2)),
-        "time_k_max": _Key(_to_int, default=10, check=_at_least(2)),
-        "time_t_max": _Key(_to_float, default=0.1, check=_positive),
+        "space_beta_max": _Key("space_beta_max", _to_int, default=3, check=_at_least(1)),
+        "time_k_min": _Key("time_k_min", _to_int, default=5, check=_at_least(2)),
+        "time_k_max": _Key("time_k_max", _to_int, default=10, check=_at_least(2)),
+        "time_t_max": _Key("time_t_max", _to_float, default=0.1, check=_positive),
     },
     "output": {
-        "dir": _Key(_to_str, default="out"),
-        "vtk": _Key(_to_bool, default=True),
+        "dir": _Key("out_dir", _to_str, default="out"),
+        "vtk": _Key("write_vtk", _to_bool, default=True),
     },
+}
+
+# Sub-config types, built in schema order; each takes its keys from one section.
+_PARTS = {
+    "mesh": MeshParams,
+    "potential": PotentialParams,
+    "flow": GradientFlowConfig,
+    "split": SplitStepConfig,
+    "detect": DetectionParams,
 }
 
 
@@ -269,63 +284,24 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
         where = f"line {line}: " if line is not None else ""
         return ConfigError(f"{where}[{section}]: {exc}")
 
-    try:
-        mesh = MeshParams(
-            r_min=v["mesh", "r_min"], r_max=v["mesh", "r_max"], h=v["mesh", "h"],
-            n_circles=v["mesh", "n_circles"], n_points=v["mesh", "n_points"],
-            match_paper_counts=v["mesh", "match_paper_counts"])
-    except ValueError as exc:
-        raise fail("mesh", exc) from None
-    try:
-        potential = PotentialParams(
-            m=v["physics", "m"], V0=v["physics", "V0"], V_p=v["physics", "V_p"],
-            n_theta=v["physics", "n_theta"], omega=v["physics", "omega"])
-    except ValueError as exc:
-        raise fail("physics", exc) from None
-    try:
-        flow = GradientFlowConfig(
-            kappa0=v["flow", "kappa0"], epsilon=v["flow", "epsilon"],
-            max_iters=v["flow", "max_iters"])
-    except ValueError as exc:
-        raise fail("flow", exc) from None
-    try:
-        split = SplitStepConfig(
-            tau=v["split", "tau"], t_max=v["split", "t_max"],
-            snapshot_stride=v["split", "snapshot_stride"],
-            fuse_half_steps=v["split", "fuse"])
-        split.n_steps  # noqa: B018 -- tau must divide t_max
-    except ValueError as exc:
-        raise fail("split", exc) from None
-    try:
-        detect = DetectionParams(
-            tol1=v["detect", "tol1"], tol2=v["detect", "tol2"],
-            lambda_max=v["detect", "lambda_max"], delta=v["detect", "delta"],
-            vort_threshold=v["detect", "vort_threshold"])
-    except ValueError as exc:
-        raise fail("detect", exc) from None
-    if v["harness", "time_k_min"] > v["harness", "time_k_max"]:
+    fields: dict[str, object] = {}
+    parts: dict[str, tuple[str, dict[str, object]]] = {}
+    for (section, key), value in v.items():
+        name, dot, attr = _SCHEMA[section][key].attr.partition(".")
+        if dot:
+            parts.setdefault(name, (section, {}))[1][attr] = value
+        else:
+            fields[name] = value
+    for name, (section, kwargs) in parts.items():
+        try:
+            fields[name] = _PARTS[name](**kwargs)
+            if name == "split":
+                fields[name].n_steps  # noqa: B018 -- tau must divide t_max
+        except ValueError as exc:
+            raise fail(section, exc) from None
+    if fields["time_k_min"] > fields["time_k_max"]:
         raise fail("harness", "time_k_min exceeds time_k_max")
-
-    return RunConfig(
-        mesh=mesh,
-        bc=v["physics", "bc"],
-        potential=potential,
-        gamma=v["physics", "gamma"],
-        flow=flow,
-        split=split,
-        initial=v["split", "initial"],
-        detect=detect,
-        modes_p_max=v["modes", "p_max"],
-        modes_l_max=v["modes", "l_max"],
-        modes_n=v["modes", "n"],
-        space_h=v["harness", "space_h"],
-        space_beta_max=v["harness", "space_beta_max"],
-        time_k_min=v["harness", "time_k_min"],
-        time_k_max=v["harness", "time_k_max"],
-        time_t_max=v["harness", "time_t_max"],
-        out_dir=v["output", "dir"],
-        write_vtk=v["output", "vtk"],
-    )
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -345,82 +321,28 @@ def _format_value(value) -> str:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical text with every key explicit; parses back to an equal config."""
-    lines: list[str] = []
+    """Canonical text with every key explicit; parses back to an equal config.
 
-    def section(name: str):
-        if lines:
-            lines.append("")
-        lines.append(f"[{name}]")
-
-    def key(name: str, value):
-        lines.append(f"{name} = {_format_value(value)}")
-
-    section("mesh")
-    key("r_min", config.mesh.r_min)
-    key("r_max", config.mesh.r_max)
-    key("h", config.mesh.h)
-    if config.mesh.n_circles is not None:
-        key("n_circles", config.mesh.n_circles)
-    if config.mesh.n_points is not None:
-        key("n_points", config.mesh.n_points)
-    key("match_paper_counts", config.mesh.match_paper_counts)
-
-    section("physics")
-    key("bc", config.bc)
-    key("m", config.potential.m)
-    key("V0", config.potential.V0)
-    key("gamma", config.gamma)
-    key("V_p", config.potential.V_p)
-    key("n_theta", config.potential.n_theta)
-    key("omega", config.potential.omega)
-
-    section("flow")
-    key("kappa0", config.flow.kappa0)
-    key("epsilon", config.flow.epsilon)
-    key("max_iters", config.flow.max_iters)
-
-    section("split")
-    key("tau", config.split.tau)
-    key("t_max", config.split.t_max)
-    key("snapshot_stride", config.split.snapshot_stride)
-    key("fuse", config.split.fuse_half_steps)
-    key("initial", config.initial)
-
-    section("detect")
-    key("tol1", config.detect.tol1)
-    key("tol2", config.detect.tol2)
-    key("lambda_max", config.detect.lambda_max)
-    key("delta", config.detect.delta)
-    key("vort_threshold", config.detect.vort_threshold)
-
-    section("modes")
-    key("p_max", config.modes_p_max)
-    key("l_max", config.modes_l_max)
-    key("n", config.modes_n)
-
-    section("harness")
-    key("space_h", config.space_h)
-    key("space_beta_max", config.space_beta_max)
-    key("time_k_min", config.time_k_min)
-    key("time_k_max", config.time_k_max)
-    key("time_t_max", config.time_t_max)
-
-    section("output")
-    key("dir", config.out_dir)
-    key("vtk", config.write_vtk)
-
-    return "\n".join(lines) + "\n"
+    The optional mesh counts are written only when set.
+    """
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, spec in keys.items():
+            value = attrgetter(spec.attr)(config)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: a leading comment plus the keys that differ from the defaults;
+# preset_text expands them to the full canonical INI.
 
-_OMEGA_STIR = repr(10.0 * math.pi / 3.0)
-
-_PAPER62 = f"""\
-# Stirred ring: trapped ground state driven by a rotating 6-lobe
-# perturbation (angular speed 10*pi/3) over t in [0, 3], 5000 steps.
+# The production mesh and time grid shared by every preset. It ends inside
+# [split], so a preset's overrides may continue that section.
+_PRODUCTION_RING = """
 [mesh]
 r_min = 0.6
 r_max = 1.4
@@ -429,167 +351,38 @@ n_circles = 41
 n_points = 486
 match_paper_counts = true
 
-[physics]
-bc = dirichlet
-m = 10.0
-V0 = 100.0
-gamma = 100.0
-V_p = 0.05
-n_theta = 6
-omega = {_OMEGA_STIR}
-
-[flow]
-kappa0 = 0.01
-epsilon = 0.005
-max_iters = 50000
-
 [split]
 tau = 0.0006
 t_max = 3.0
 snapshot_stride = 500
-fuse = true
-initial = ground-state
-
-[detect]
-tol1 = 0.1
-tol2 = 0.05
-lambda_max = 10
-delta = 0.1
-vort_threshold = 50.0
-
-[modes]
-p_max = 3
-l_max = 80
-n = 500
-
-[harness]
-space_h = 0.1, 0.05, 0.025
-space_beta_max = 3
-time_k_min = 5
-time_k_max = 10
-time_t_max = 0.1
-
-[output]
-dir = out
-vtk = true
-"""
-
-_UNSTABLE_DIRICHLET = """\
-# Sign-flipped ground state released in the static trap: the phase jump
-# nucleates vortices at the outer edge, then radiates sound waves.
-[mesh]
-r_min = 0.6
-r_max = 1.4
-h = 0.02
-n_circles = 41
-n_points = 486
-match_paper_counts = true
-
-[physics]
-bc = dirichlet
-m = 10.0
-V0 = 100.0
-gamma = 100.0
-V_p = 0.0
-n_theta = 0
-omega = 0.0
-
-[flow]
-kappa0 = 0.01
-epsilon = 0.005
-max_iters = 50000
-
-[split]
-tau = 0.0006
-t_max = 3.0
-snapshot_stride = 500
-fuse = true
-initial = unstable
-
-[detect]
-tol1 = 0.1
-tol2 = 0.05
-lambda_max = 10
-delta = 0.1
-vort_threshold = 50.0
-
-[modes]
-p_max = 3
-l_max = 80
-n = 500
-
-[harness]
-space_h = 0.1, 0.05, 0.025
-space_beta_max = 3
-time_k_min = 5
-time_k_max = 10
-time_t_max = 0.1
-
-[output]
-dir = out
-vtk = true
-"""
-
-_UNSTABLE_NEUMANN = """\
-# Free ring with reflecting walls: the sign-flipped constant ground state
-# develops a snake instability that breaks into vortex-antivortex pairs.
-[mesh]
-r_min = 0.6
-r_max = 1.4
-h = 0.02
-n_circles = 41
-n_points = 486
-match_paper_counts = true
-
-[physics]
-bc = neumann
-m = 10.0
-V0 = 0.0
-gamma = 100.0
-V_p = 0.0
-n_theta = 0
-omega = 0.0
-
-[flow]
-kappa0 = 0.01
-epsilon = 0.005
-max_iters = 50000
-
-[split]
-tau = 0.0006
-t_max = 3.0
-snapshot_stride = 500
-fuse = true
-initial = unstable
-
-[detect]
-tol1 = 0.1
-tol2 = 0.05
-lambda_max = 10
-delta = 0.1
-vort_threshold = 50.0
-
-[modes]
-p_max = 3
-l_max = 80
-n = 500
-
-[harness]
-space_h = 0.1, 0.05, 0.025
-space_beta_max = 3
-time_k_min = 5
-time_k_max = 10
-time_t_max = 0.1
-
-[output]
-dir = out
-vtk = true
 """
 
 _PRESETS = {
-    "paper62": _PAPER62,
-    "unstable-dirichlet": _UNSTABLE_DIRICHLET,
-    "unstable-neumann": _UNSTABLE_NEUMANN,
+    "paper62": (
+        "# Stirred ring: trapped ground state driven by a rotating 6-lobe\n"
+        "# perturbation (angular speed 10*pi/3) over t in [0, 3], 5000 steps.\n",
+        _PRODUCTION_RING + f"""
+[physics]
+V_p = 0.05
+n_theta = 6
+omega = {10.0 * math.pi / 3.0!r}
+"""),
+    "unstable-dirichlet": (
+        "# Sign-flipped ground state released in the static trap: the phase jump\n"
+        "# nucleates vortices at the outer edge, then radiates sound waves.\n",
+        _PRODUCTION_RING + """
+initial = unstable
+"""),
+    "unstable-neumann": (
+        "# Free ring with reflecting walls: the sign-flipped constant ground state\n"
+        "# develops a snake instability that breaks into vortex-antivortex pairs.\n",
+        _PRODUCTION_RING + """
+initial = unstable
+
+[physics]
+bc = neumann
+V0 = 0.0
+"""),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -598,7 +391,8 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 def preset_text(name: str) -> str:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    return _PRESETS[name]
+    comment, overrides = _PRESETS[name]
+    return comment + serialize_config(parse_config(overrides))
 
 
 def preset_config(name: str) -> RunConfig:

@@ -132,7 +132,6 @@ class RingMesh:
     edge_d: np.ndarray
     edge_mid: np.ndarray
     edge_normal: np.ndarray
-    triangle_edges: np.ndarray
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
 
@@ -163,10 +162,6 @@ class RingMesh:
     @property
     def boundary_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_L < 0)
-
-    def vertex_neighbors(self, tri: int) -> np.ndarray:
-        """Triangles sharing at least one vertex with `tri` (sorted, no self)."""
-        return self.adj_indices[self.adj_indptr[tri]:self.adj_indptr[tri + 1]]
 
 
 def _circumcenters(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -257,10 +252,6 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
     edge_L[two] = tri_of_instance[starts[two] + 1]
     edge_vertices = pairs[order][starts]
 
-    edge_ids_of_instance = np.empty(sorted_keys.size, dtype=np.int64)
-    edge_ids_of_instance[order] = np.cumsum(uniq_mask) - 1
-    triangle_edges = edge_ids_of_instance.reshape(n_tri, 3)
-
     p0 = vertices[edge_vertices[:, 0]]
     p1 = vertices[edge_vertices[:, 1]]
     edge_vec = p1 - p0
@@ -312,7 +303,6 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
         edge_d=edge_d,
         edge_mid=edge_mid,
         edge_normal=edge_normal,
-        triangle_edges=triangle_edges,
         adj_indptr=graph.indptr,
         adj_indices=graph.indices,
     )

@@ -48,7 +48,12 @@ class TestParser:
 
     def test_importing_cli_does_not_load_numpy(self):
         code = "import sys, ringgpe.cli; sys.exit('numpy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code])
+        # The child must import the package under test, which pytest may
+        # have put on sys.path rather than on PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
 
     def test_all_subcommands_present(self):

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringgpe.config import (
     PRESET_NAMES,
@@ -51,14 +54,13 @@ gamma = 0.0
 [split]
 tau = 0.01
 t_max = 0.5
-fuse = false
 initial = unstable
 [output]
 dir = results
 vtk = false
 """)
         assert cfg.bc == "neumann" and cfg.gamma == 0.0
-        assert cfg.split.n_steps == 50 and not cfg.split.fuse_half_steps
+        assert cfg.split.n_steps == 50
         assert cfg.initial == "unstable"
         assert cfg.out_dir == "results" and not cfg.write_vtk
 
@@ -75,6 +77,7 @@ BAD_CONFIGS = [
     (MINIMAL + "[output]\nvtk = yes\n", "expected true or false"),
     (MINIMAL + "[physics]\nbc = periodic\n", "expected one of dirichlet, neumann"),
     (MINIMAL + "[mesh]\nwidth = 3\n", "unknown key 'width'"),
+    (MINIMAL + "[split]\nfuse = true\n", "unknown key 'fuse'"),
     ("[grid]\n", "line 1: unknown section [grid]"),
     ("r_min = 0.6\n", "line 1: key outside of any [section]"),
     ("[mesh\nr_min = 0.6\n", "malformed section header"),
@@ -110,6 +113,90 @@ class TestDiagnostics:
             parse_config(text)
 
 
+_POSITIVE = st.floats(min_value=1e-12, max_value=1e12)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e12)
+
+
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(x) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def valid_config_texts(draw):
+    """INI text of a random valid config; optional keys are sometimes left out."""
+    r_min = draw(st.floats(min_value=1e-3, max_value=10.0))
+    tau = draw(st.floats(min_value=1e-6, max_value=1.0))
+    k_min = draw(st.integers(2, 20))
+    sections = {
+        "mesh": {
+            "r_min": r_min,
+            "r_max": r_min + draw(st.floats(min_value=1e-3, max_value=10.0)),
+            "h": draw(_POSITIVE),
+            "n_circles": draw(st.integers(2, 10_000)),
+            "n_points": draw(st.integers(3, 10_000)),
+            "match_paper_counts": draw(st.booleans()),
+        },
+        "physics": {
+            "bc": draw(st.sampled_from(["dirichlet", "neumann"])),
+            "m": draw(_POSITIVE),
+            "V0": draw(_NONNEGATIVE),
+            "gamma": draw(_NONNEGATIVE),
+            "V_p": draw(st.floats(min_value=0.0, max_value=1.0)),
+            "n_theta": draw(st.integers(0, 100)),
+            "omega": draw(st.floats(min_value=-1e6, max_value=1e6)),
+        },
+        "flow": {
+            "kappa0": draw(_POSITIVE),
+            "epsilon": draw(_POSITIVE),
+            "max_iters": draw(st.integers(1, 10**6)),
+        },
+        "split": {
+            "tau": tau,
+            "t_max": tau * draw(st.integers(1, 10**6)),
+            "snapshot_stride": draw(st.integers(0, 10**4)),
+            "initial": draw(st.sampled_from(["ground-state", "unstable"])),
+        },
+        "detect": {
+            "tol1": draw(_POSITIVE),
+            "tol2": draw(_POSITIVE),
+            "lambda_max": draw(st.integers(1, 50)),
+            "delta": draw(_POSITIVE),
+            "vort_threshold": draw(_POSITIVE),
+        },
+        "modes": {
+            "p_max": draw(st.integers(0, 20)),
+            "l_max": draw(st.integers(0, 500)),
+            "n": draw(st.integers(2, 5000)),
+        },
+        "harness": {
+            "space_h": tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=5))),
+            "space_beta_max": draw(st.integers(1, 10)),
+            "time_k_min": k_min,
+            "time_k_max": draw(st.integers(k_min, 30)),
+            "time_t_max": draw(_POSITIVE),
+        },
+        "output": {
+            "dir": draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+            "vtk": draw(st.booleans()),
+        },
+    }
+    # Coupled keys go in or out together: the drawn tau divides the drawn
+    # t_max, and the drawn time_k_min is at most the drawn time_k_max.
+    keep = {"r_min": True, "r_max": True, "h": True}
+    keep["tau"] = keep["t_max"] = draw(st.booleans())
+    keep["time_k_min"] = keep["time_k_max"] = draw(st.booleans())
+    lines = []
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {_ini_value(value)}" for key, value in keys.items()
+                     if keep.get(key) or (key not in keep and draw(st.booleans())))
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
     def test_round_trip_is_identity(self):
         cfg = parse_config(MINIMAL + "[physics]\nomega = 0.1\nV_p = 0.05\n")
@@ -133,8 +220,31 @@ class TestSerialization:
         assert "n_circles = 5" in text and "n_points = 40" in text
         assert parse_config(text) == overridden
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(valid_config_texts())
+    def test_parse_serialize_parse_is_identity(self, text):
+        cfg = parse_config(text)
+        canonical = serialize_config(cfg)
+        assert parse_config(canonical) == cfg
+        assert serialize_config(parse_config(canonical)) == canonical
+
+
+# sha256 of each preset's full INI text: the presets are stored as overrides
+# over the schema defaults, so a change to a default or to the serializer
+# would otherwise alter them silently.
+PRESET_SHA256 = {
+    "paper62": "e600f8b5966f71fd1656a9f97d0efa0c8a5f8b6e4591507ab76a7aabfaefd767",
+    "unstable-dirichlet": "9f8b9985848175303e43f0d8fcddc1320363909da6f472bcf107130f8e8a8ff0",
+    "unstable-neumann": "4f0f0cfffed6982fd85befb621d98af8f0293bb413e38728bb8b7ee8705e3ec4",
+}
+
 
 class TestPresets:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_text_pinned(self, name):
+        digest = hashlib.sha256(preset_text(name).encode()).hexdigest()
+        assert digest == PRESET_SHA256[name]
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_parse_and_round_trip(self, name):
         cfg = preset_config(name)

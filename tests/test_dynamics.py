@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -126,6 +128,13 @@ class TestKineticFlow:
         w = flow_kinetic(u, 0.01, M_EFF, opn)
         assert np.abs(w.values - u.values).max() < 1e-10
 
+    def test_zero_field_maps_to_zero(self, tiny):
+        mesh, op = tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = KineticFlow(op, 6e-4, M_EFF).apply(Field.constant(mesh, 0j))
+        assert not np.any(w.values)
+
     def test_validation(self, tiny):
         mesh, op = tiny
         with pytest.raises(ValueError):
@@ -137,16 +146,22 @@ class TestKineticFlow:
 
 class TestEvolve:
     def test_fused_matches_unfused(self, tiny, tiny_gs):
+        # evolve fuses neighbouring half-flows; a plain strang_step loop is
+        # the reference.
         mesh, op = tiny
-        cfg_f = SplitStepConfig(tau=6e-4, t_max=0.06, fuse_half_steps=True,
-                                snapshot_stride=25)
-        cfg_u = SplitStepConfig(tau=6e-4, t_max=0.06, fuse_half_steps=False,
-                                snapshot_stride=25)
-        rf = evolve(tiny_gs, op, STIR, M_EFF, GAMMA, cfg_f)
-        ru = evolve(tiny_gs, op, STIR, M_EFF, GAMMA, cfg_u)
-        assert np.abs(rf.final.values - ru.final.values).max() < 1e-12
-        assert np.array_equal(rf.times, ru.times)
-        for a, b in zip(rf.snapshots, ru.snapshots):
+        cfg = SplitStepConfig(tau=6e-4, t_max=0.06, snapshot_stride=25)
+        r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA, cfg)
+        kinetic = KineticFlow(op, cfg.tau, M_EFF)
+        psi = tiny_gs
+        snapshots = [psi]
+        for j in range(1, cfg.n_steps + 1):
+            psi = strang_step(psi, (j - 1) * cfg.tau, kinetic, STIR, GAMMA)
+            if j % cfg.snapshot_stride == 0 or j == cfg.n_steps:
+                snapshots.append(psi)
+        assert np.abs(r.final.values - psi.values).max() < 1e-12
+        assert np.allclose(r.times, [0.0, 0.015, 0.03, 0.045, 0.06], rtol=0, atol=1e-15)
+        assert len(r.snapshots) == len(snapshots)
+        for a, b in zip(r.snapshots, snapshots):
             assert np.abs(a.values - b.values).max() < 1e-12
 
     def test_emission_schedule(self, tiny, tiny_gs):

@@ -7,6 +7,7 @@ from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
 from ringgpe.ground_state import (
     GradientFlowConfig,
+    checked_solve,
     compute_ground_state,
     energy,
     energy_gradient,
@@ -167,6 +168,28 @@ class TestFlow:
             GradientFlowConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             GradientFlowConfig(max_iters=0)
+
+
+class TestCheckedSolve:
+    MAT = np.diag([1.0, 2.0, 4.0])
+    RHS = np.array([1.0, -1.0, 2.0])
+
+    def test_exact_solve_passes(self):
+        x = checked_solve(lambda b: b / np.diag(self.MAT), self.MAT, self.RHS, "diag")
+        assert np.array_equal(x, [1.0, -0.5, 0.5])
+
+    def test_refinement_recovers_inexact_solve(self):
+        x = checked_solve(lambda b: (1 + 1e-7) * b / np.diag(self.MAT),
+                          self.MAT, self.RHS, "diag")
+        assert np.abs(self.MAT @ x - self.RHS).max() < 1e-12
+
+    def test_nan_residual_fails(self):
+        with pytest.raises(NumericalError, match="diag residual nan"):
+            checked_solve(lambda b: np.full_like(b, np.nan), self.MAT, self.RHS, "diag")
+
+    def test_zero_rhs_gives_zero(self):
+        x = checked_solve(lambda b: b / 0.0, self.MAT, np.zeros(3, complex), "diag")
+        assert x.dtype == complex and not np.any(x)
 
 
 class TestDeskGroundState:
