@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
 from .ground_state import checked_solve, energy
+from .layout import SlotFFTSolver
 from .potentials import PotentialParams, phase_integral, total_field
 
 
@@ -62,8 +62,9 @@ def flow_potential(u: Field, t: float, dt: float, params: PotentialParams,
 class KineticFlow:
     """Cayley flow (I - i tau/(4m) A_T)^(-1) (I + i tau/(4m) A_T).
 
-    The factorization is done once per (operator, tau, m) and reused across
-    steps; every solve is checked against the residual contract.
+    The slot-mode factorization (layout.SlotFFTSolver) is done once per
+    (operator, tau, m) and reused across steps; every solve is checked
+    against the residual contract on the assembled sparse matrix.
     """
 
     def __init__(self, op: LaplacianOperator, tau: float, m: float):
@@ -75,15 +76,15 @@ class KineticFlow:
         n = op.mesh.n_triangles
         z = 1j * tau / (4.0 * m)
         eye = sp.identity(n, format="csr", dtype=np.complex128)
-        self._minus = (eye - z * op.A_T).tocsc()
+        self._minus = (eye - z * op.A_T).tocsr()
         self._plus = (eye + z * op.A_T).tocsr()
-        self._lu = splu(self._minus)
+        self._solver = SlotFFTSolver(op, 1.0, -z, self._minus)
 
     def apply(self, u: Field) -> Field:
         if u.mesh is not self.op.mesh:
             raise ValueError("field mesh does not match operator mesh")
         rhs = self._plus @ u.values.astype(np.complex128, copy=False)
-        x = checked_solve(self._lu.solve, self._minus, rhs, "kinetic solve")
+        x = checked_solve(self._solver.solve, self._minus, rhs, "kinetic solve")
         return Field(self.op.mesh, x)
 
 

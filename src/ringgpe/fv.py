@@ -11,10 +11,12 @@ squared jumps. All of this rests on the mesh orthogonality property
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .layout import slot_symbol
 from .mesh import RingMesh
 
 _BCS = ("dirichlet", "neumann")
@@ -102,6 +104,11 @@ class LaplacianOperator:
         if u.mesh is not self.mesh:
             raise ValueError("field mesh does not match operator mesh")
         return float(np.real(np.conj(u.values) @ (self.A @ u.values)))
+
+    @cached_property
+    def slot_symbol(self) -> np.ndarray:
+        """Per-slot-mode tridiagonal symbol of A_T; see layout.slot_symbol."""
+        return slot_symbol(self.mesh, self.A_T)
 
 
 def assemble_laplacian(mesh: RingMesh, bc: str = "dirichlet") -> LaplacianOperator:

@@ -17,9 +17,18 @@ from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, inner_product, norm, normalize
+from .layout import SlotFFTSolver, slot_defect
 
 # Relative residual contract for every inner linear solve.
 SOLVER_RESIDUAL_TOL = 1e-10
+
+# Largest spread of the gradient-flow diagonal across slots for which the
+# slot-FFT solve is used. It factors the slot mean of the diagonal, and its
+# refinement step squares the relative error that leaves (the matrix is the
+# identity plus a positive part), so a spread of 1e-8 still solves to ~1e-16.
+# A round-off-level test would refuse the ~1e-13 slot defect that refinement
+# itself leaves in U and send those steps to splu.
+SLOT_INVARIANCE_TOL = 1e-8
 
 
 def checked_solve(solve, mat, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -107,19 +116,25 @@ def gradient_flow_step(u: Field, trap: Field, op: LaplacianOperator,
 
     Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n and returns
     W / ||W||. The linearization freezes the density at the current iterate.
+    While the diagonal 2V + 2 gamma |U^n|^2 is slot-invariant (it is when V
+    and U^n are) the solve is the slot-FFT one; otherwise the matrix gets a
+    sparse LU.
     """
     n = u.mesh.n_triangles
     diag = kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
     mat = (sp.identity(n, format="csr")
            - (kappa / m) * op.A_T
            + sp.diags(diag)).tocsc()
-    lu = splu(mat)
+    if slot_defect(u.mesh, diag) <= SLOT_INVARIANCE_TOL:
+        solve = SlotFFTSolver(op, 1.0 + diag, -kappa / m, mat).solve
+    else:
+        lu = splu(mat)
 
-    def solve(b):
-        # Real factorization; complex right-hand sides split into two solves.
-        if np.iscomplexobj(b):
-            return lu.solve(b.real) + 1j * lu.solve(b.imag)
-        return lu.solve(b)
+        def solve(b):
+            # Real factorization; complex right-hand sides split into two solves.
+            if np.iscomplexobj(b):
+                return lu.solve(b.real) + 1j * lu.solve(b.imag)
+            return lu.solve(b)
 
     w = checked_solve(solve, mat, u.values, "linear solve")
     return normalize(Field(u.mesh, w))

@@ -287,6 +287,7 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
             out_dir / "final_state.csv", evolution.final))
 
     final = evolution.final
+    unhashed: list[Path] = []
     if "vortices" in selected:
         with _stage("vortices"):
             detectors = {
@@ -307,10 +308,12 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
                 result.vortices[name] = records
                 rows.extend((t_final, r) for r in records)
             files.append(out_io.write_vortex_table(out_dir / "vortices.csv", rows))
-            files.append(out_io.write_csv(
+            timings = out_io.write_csv(
                 out_dir / "detector_timings.csv", ["method", "seconds", "count"],
                 [(name, result.detector_seconds[name], len(result.vortices[name]))
-                 for name in detectors]))
+                 for name in detectors])
+            files.append(timings)
+            unhashed.append(timings)
 
     if "modes" in selected:
         with _stage("modes"):
@@ -325,5 +328,6 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
             files.append(out_io.write_eigenvalue_table(
                 out_dir / "mode_eigenvalues.csv", basis))
 
-    result.manifest = out_io.write_manifest(out_dir, files, serialize_config(config))
+    result.manifest = out_io.write_manifest(out_dir, files, serialize_config(config),
+                                            unhashed=unhashed)
     return result

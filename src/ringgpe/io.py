@@ -4,8 +4,9 @@ Floats are written with 17 significant digits so a write/read round trip
 reproduces the double exactly. VTK output uses the legacy ASCII format
 (DataFile version 3.0, unstructured grid, cell data) because every viewer
 still reads it. Writers return the path they wrote so callers can collect
-the list for the manifest; the manifest records a sha256 per file, and no
-writer embeds timestamps, keeping repeat runs byte-identical.
+the list for the manifest; the manifest records a sha256 per file (files
+of measured wall-clock data by path alone), and no writer embeds
+timestamps, keeping repeat runs and their manifests byte-identical.
 """
 
 from __future__ import annotations
@@ -232,20 +233,24 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, files: Iterable[Path], config_text: str) -> Path:
-    """manifest.json: the run configuration plus one hashed entry per file.
+def write_manifest(out_dir, files: Iterable[Path], config_text: str,
+                   unhashed: Iterable[Path] = ()) -> Path:
+    """manifest.json: the run configuration plus one entry per file.
 
-    Paths are stored relative to out_dir; duplicates collapse. The manifest
-    itself is excluded (it cannot contain its own hash).
+    Paths are stored relative to out_dir; duplicates collapse. Each file gets
+    its sha256 and size, except the unhashed ones (measured wall-clock data),
+    which are listed by path alone so that repeat runs give identical
+    manifests. The manifest itself is excluded (it cannot contain its own
+    hash).
     """
     out_dir = Path(out_dir)
+    skip = {Path(f) for f in unhashed}
     entries = []
-    for f in sorted({Path(f) for f in files}):
-        entries.append({
-            "path": f.relative_to(out_dir).as_posix(),
-            "sha256": sha256_of(f),
-            "bytes": f.stat().st_size,
-        })
+    for f in sorted({Path(f) for f in files} | skip):
+        entry = {"path": f.relative_to(out_dir).as_posix()}
+        if f not in skip:
+            entry.update(sha256=sha256_of(f), bytes=f.stat().st_size)
+        entries.append(entry)
     doc = {"config": config_text, "files": entries}
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",

@@ -217,6 +217,13 @@ class TestManifest:
         doc = json.loads(rio.write_manifest(tmp_path, [a, b, a], "").read_text())
         assert [e["path"] for e in doc["files"]] == ["a.csv", "b.csv"]
 
+    def test_unhashed_files_listed_by_path_only(self, tmp_path):
+        a = rio.write_csv(tmp_path / "a.csv", ["x"], [(1,)])
+        t = rio.write_csv(tmp_path / "t.csv", ["s"], [(0.5,)])
+        doc = json.loads(rio.write_manifest(tmp_path, [t, a], "", unhashed=[t]).read_text())
+        assert [set(e) for e in doc["files"]] == [{"path", "sha256", "bytes"}, {"path"}]
+        assert doc["files"][1]["path"] == "t.csv"
+
     def test_repeat_runs_are_byte_identical(self, mesh, cfield, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
