@@ -13,6 +13,10 @@ of a mode as 2*band + (1 - kind) therefore makes every mode's system
 tridiagonal, and stacking the modes end to end gives one tridiagonal system
 with zero couplings at the mode boundaries, factored by a single LAPACK
 ?gttrf call.
+
+The same rotation maps the triangle adjacency graph onto itself, so a set
+of triangles found around slot 0 serves every slot once shifted along the
+slot axis (slot_shifted); the density detector uses this for its shells.
 """
 
 from __future__ import annotations
@@ -34,6 +38,17 @@ if TYPE_CHECKING:
 def slot_view(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
     """values per triangle as an (n_bands, N_p, 2) array (a view when possible)."""
     return np.asarray(values).reshape(mesh.n_bands, mesh.n_points, 2)
+
+
+def slot_shifted(mesh: RingMesh, triangles: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """triangles rotated by slots[i] steps of 2*pi/N_p, one row per slot.
+
+    Row i holds the triangles (band, (slot + slots[i]) % N_p, kind) for each
+    (band, slot, kind) in triangles.
+    """
+    n_p = mesh.n_points
+    shifted = (mesh.slot[triangles] + np.asarray(slots)[:, None]) % n_p
+    return 2 * (mesh.band[triangles] * n_p + shifted) + mesh.kind[triangles]
 
 
 def slot_defect(mesh: RingMesh, values: np.ndarray) -> float:

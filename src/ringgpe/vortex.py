@@ -21,7 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from .errors import NumericalError
 from .fv import Field, discrete_curl, discrete_gradient
+from .layout import slot_shifted
 from .mesh import RingMesh, triangle_shells
 
 # Fractional part of the winding quotient above which a density record is
@@ -107,7 +109,10 @@ def _unwound_shell_phase(u: Field, center: int, lam: int) -> tuple[int, float]:
     order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
     loop = np.angle(vals[order])
     theta = np.unwrap(np.append(loop, loop[0]))
-    assert np.abs(np.diff(theta)).max() <= np.pi + 1e-9
+    jump = np.abs(np.diff(theta)).max()
+    if not jump <= np.pi + 1e-9:
+        raise NumericalError(
+            f"unwrapped phase jumps by {jump!r} > pi around center {center} on shell {lam}")
     quotient = (theta[-1] - theta[0]) / (2.0 * np.pi)
     index = int(np.rint(quotient))
     return index, abs(quotient - index)
@@ -129,32 +134,48 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     smallest shell (distance <= lambda_max) on which every density exceeds the
     center density by tol2. Overlapping centers are thinned keeping the lower
     density, then each survivor gets its winding number.
+
+    Rotation by 2*pi/N_p is an automorphism of the adjacency graph, so the
+    shells around (band, slot, kind) are those around (band, 0, kind) shifted
+    by slot along the periodic slot axis. One shell search per (band, kind)
+    therefore confirms every candidate of that (band, kind) at once.
     """
     mesh = u.mesh
     dens = u.abs2()
     candidates = np.flatnonzero(dens < params.tol1)
 
-    confirmed: list[tuple[int, int, np.ndarray]] = []
-    for n in candidates:
-        shells = triangle_shells(mesh, int(n), params.lambda_max)
+    # Confirming shell per candidate (0: unconfirmed), and per (band, kind)
+    # the ball around slot 0, the union of shells 1 .. lambda_max.
+    lam_of = np.zeros(candidates.size, dtype=np.int64)
+    balls = {}
+    group = 2 * mesh.band[candidates] + mesh.kind[candidates]
+    for key in np.unique(group):
+        in_group = np.flatnonzero(group == key)
+        band, kind = divmod(int(key), 2)
+        shells = triangle_shells(mesh, 2 * band * mesh.n_points + kind, params.lambda_max)
         for lam in range(1, params.lambda_max + 1):
-            shell = shells[lam]
-            if shell.size and np.all(dens[shell] > dens[n] + params.tol2):
-                ball = np.concatenate(shells[1:])
-                confirmed.append((int(n), lam, ball))
+            open_ = in_group[lam_of[in_group] == 0]
+            # Shells past the graph boundary stay empty and confirm nothing.
+            if open_.size == 0 or shells[lam].size == 0:
                 break
+            centers = candidates[open_]
+            ring = dens[slot_shifted(mesh, shells[lam], mesh.slot[centers])]
+            lam_of[open_[np.all(ring > dens[centers, None] + params.tol2, axis=1)]] = lam
+        balls[key] = np.concatenate(shells[1:])
 
-    # Thin conflicting centers: scan by ascending center density and drop any
-    # center lying in an already kept center's shell union (graph distance is
-    # symmetric, so one-sided membership covers both directions).
-    confirmed.sort(key=lambda item: (dens[item[0]], item[0]))
+    # Thin conflicting centers: scan by ascending (density, triangle) and drop
+    # any center lying in an already kept center's shell union (graph distance
+    # is symmetric, so one-sided membership covers both directions).
+    confirmed = np.flatnonzero(lam_of)
+    centers = candidates[confirmed]
     kept: list[tuple[int, int]] = []
     blocked = np.zeros(mesh.n_triangles, dtype=bool)
-    for n, lam, ball in confirmed:
+    for i in confirmed[np.lexsort((centers, dens[centers]))]:
+        n = int(candidates[i])
         if blocked[n]:
             continue
-        kept.append((n, lam))
-        blocked[ball] = True
+        kept.append((n, int(lam_of[i])))
+        blocked[slot_shifted(mesh, balls[group[i]], mesh.slot[[n]])] = True
 
     records = []
     for n, lam in kept:

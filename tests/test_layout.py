@@ -17,8 +17,8 @@ from ringgpe.ground_state import (
     compute_ground_state,
     gradient_flow_step,
 )
-from ringgpe.layout import SlotFFTSolver, slot_defect, slot_symbol, slot_view
-from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation
+from ringgpe.layout import SlotFFTSolver, slot_defect, slot_shifted, slot_symbol, slot_view
+from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation, triangle_shells
 from ringgpe.potentials import PotentialParams, trap_field
 
 M_EFF = 10.0
@@ -78,6 +78,30 @@ class TestLayout:
         assert np.array_equal(mesh.band[idx], b)
         assert np.array_equal(mesh.slot[idx], s)
         assert np.array_equal(mesh.kind[idx], k)
+
+    def test_slot_shift_by_one_is_rotation(self, mesh):
+        idx = slot_shifted(mesh, np.arange(mesh.n_triangles), [0, 1, mesh.n_points])
+        assert np.array_equal(idx[0], np.arange(mesh.n_triangles))
+        assert np.array_equal(idx[1], rotation_permutation(mesh))
+        assert np.array_equal(idx[2], idx[0])
+
+    @pytest.mark.parametrize("name", ["odd", "three"])
+    def test_shells_are_slot_shifted_templates(self, name):
+        # Rotation by 2*pi/N_p is an automorphism of the adjacency graph, so
+        # every shell equals the (band, 0, kind) shell shifted in slot, also
+        # where shells wrap around the ring or run empty.
+        mesh = build_ring_mesh(MESHES[name])
+        templates = {}
+        for t in range(mesh.n_triangles):
+            b, s, k = mesh.band[t], mesh.slot[t], mesh.kind[t]
+            if (b, k) not in templates:
+                templates[b, k] = triangle_shells(mesh, 2 * b * mesh.n_points + k, 6)
+            shells = triangle_shells(mesh, t, 6)
+            for got, tmpl in zip(shells, templates[b, k]):
+                want = slot_shifted(mesh, tmpl, [s])[0]
+                assert np.array_equal(got, np.sort(want))
+        if name == "three":
+            assert shells[-1].size == 0  # the whole graph lies within 6 hops
 
     def test_slot_defect(self, mesh):
         r = np.hypot(mesh.centers[:, 0], mesh.centers[:, 1])

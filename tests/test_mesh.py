@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringgpe.mesh import (
     MeshParams,
@@ -142,6 +144,17 @@ class TestGeometry:
             assert rep.max_orthogonality_defect < 1e-10
             assert rep.min_center_margin > 0.0
             assert rep.min_center_distance > 0.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(r_min=st.floats(0.1, 1.0), width=st.floats(0.2, 1.7),
+           steps=st.floats(2.01, 12.0), match_paper_counts=st.booleans())
+    def test_random_meshes_admissible(self, r_min, width, steps, match_paper_counts):
+        # h <= width / 2.01 gives at least three circles.
+        mesh = build_ring_mesh(MeshParams(r_min=r_min, r_max=r_min + width,
+                                          h=width / steps,
+                                          match_paper_counts=match_paper_counts))
+        assert mesh.n_circles >= 3
+        assert verify_admissibility(mesh).is_admissible
 
     def test_circumcenters_equidistant(self, desk_mesh):
         p = desk_mesh.vertices[desk_mesh.triangles]

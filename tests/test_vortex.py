@@ -1,9 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringgpe import vortex
+from ringgpe.errors import NumericalError
 from ringgpe.fv import Field
-from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
+from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation, triangle_shells
 from ringgpe.vortex import (
+    METHOD_DENSITY,
+    WINDING_DEFECT_TOL,
     DetectionParams,
     VortexRecord,
     detect_by_density,
@@ -47,6 +55,75 @@ def winding_oracle(fn, center, radius, samples=4096):
 def center_triangle(mesh, point):
     d = np.hypot(mesh.centers[:, 0] - point.real, mesh.centers[:, 1] - point.imag)
     return int(np.argmin(d))
+
+
+def per_candidate_detect(u, params, stats=None):
+    """The density detector with one shell search per candidate (test oracle).
+
+    This is the detector before shell templates, kept verbatim apart from
+    the optional stats: the number of confirmed centers, whether some
+    candidate's search ran into empty shells, and whether some confirming
+    ball holds both slot 0 and slot N_p - 1 (it crosses or spans the seam).
+    """
+    mesh = u.mesh
+    dens = u.abs2()
+    candidates = np.flatnonzero(dens < params.tol1)
+
+    confirmed = []
+    for n in candidates:
+        shells = triangle_shells(mesh, int(n), params.lambda_max)
+        if stats is not None and shells[-1].size == 0:
+            stats["empty"] = True
+        for lam in range(1, params.lambda_max + 1):
+            shell = shells[lam]
+            if shell.size and np.all(dens[shell] > dens[n] + params.tol2):
+                ball = np.concatenate(shells[1:])
+                confirmed.append((int(n), lam, ball))
+                break
+
+    if stats is not None:
+        stats["confirmed"] = len(confirmed)
+        stats["wrapped"] = any({0, mesh.n_points - 1} <= set(mesh.slot[ball].tolist())
+                               for _, _, ball in confirmed)
+    confirmed.sort(key=lambda item: (dens[item[0]], item[0]))
+    kept = []
+    blocked = np.zeros(mesh.n_triangles, dtype=bool)
+    for n, lam, ball in confirmed:
+        if blocked[n]:
+            continue
+        kept.append((n, lam))
+        blocked[ball] = True
+
+    records = []
+    for n, lam in kept:
+        try:
+            index, defect = vortex._unwound_shell_phase(u, n, lam)
+            reliable = defect <= WINDING_DEFECT_TOL and index != 0
+        except ValueError:
+            index, reliable = 0, False
+        records.append(VortexRecord(
+            triangle=n,
+            position=(float(mesh.centers[n, 0]), float(mesh.centers[n, 1])),
+            index_or_sign=index,
+            characteristic_length=lam,
+            method=METHOD_DENSITY,
+            extremum_value=float(dens[n]),
+            reliable=reliable,
+        ))
+    records.sort(key=lambda r: r.triangle)
+    return records
+
+
+@lru_cache(maxsize=None)
+def small_ring(n_circles, n_points):
+    return build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2,
+                                      n_circles=n_circles, n_points=n_points))
+
+
+def random_field(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return Field(mesh, rng.standard_normal(mesh.n_triangles)
+                 + 1j * rng.standard_normal(mesh.n_triangles))
 
 
 class TestParams:
@@ -138,6 +215,94 @@ class TestDensityDetector:
         assert [r.index_or_sign for r in ru] == [-r.index_or_sign for r in rc]
 
 
+class TestTemplateDetector:
+    """The shell-template detector against the per-candidate oracle."""
+
+    @pytest.mark.parametrize("zeros,charges", [
+        ([1.0 + 0j], [+1]),
+        ([1.0 + 0j, -1.0 + 0j], [+1, -1]),
+        ([1.0 + 0j, 1j, -1.0 + 0j], [+1, -1, +1]),
+        ([1.0 + 0j, 1j, -1.0 + 0j, -1j], [+1, -1, +1, +1]),
+        ([1.0 + 0j, 1j, -1.0 + 0j, -1j], [+1, +1, +1, +1]),
+    ])
+    def test_planted_configurations_match_oracle(self, mesh, zeros, charges):
+        u = planted_state(mesh, zeros, charges)
+        for params in (DetectionParams(), DetectionParams(tol1=0.5, tol2=0.01, lambda_max=3)):
+            recs = detect_by_density(u, params)
+            assert recs
+            assert recs == per_candidate_detect(u, params)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n_points=st.sampled_from([3, 4, 7, 63]), n_circles=st.integers(2, 10),
+           tol1=st.floats(0.01, 1.0), tol2=st.floats(1e-3, 1.0),
+           lambda_max=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_fields_match_oracle(self, n_points, n_circles, tol1, tol2,
+                                        lambda_max, seed):
+        u = random_field(small_ring(n_circles, n_points), seed)
+        params = DetectionParams(tol1=tol1, tol2=tol2, lambda_max=lambda_max)
+        assert detect_by_density(u, params) == per_candidate_detect(u, params)
+
+    @pytest.mark.parametrize("n_circles,n_points,tol1,tol2,lambda_max,needs", [
+        (2, 7, 0.8, 0.05, 8, "empty"),      # one band: shells run out
+        (6, 63, 0.5, 0.02, 3, "wrapped"),   # balls around the slot seam
+        (4, 3, 1.0, 0.01, 12, "wrapped"),   # every shell wraps the ring
+        (8, 63, 0.6, 0.01, 2, "thinned"),   # a confirmed center is dropped
+    ])
+    def test_edge_cases_match_oracle(self, n_circles, n_points, tol1, tol2,
+                                     lambda_max, needs):
+        u = random_field(small_ring(n_circles, n_points), 11)
+        params = DetectionParams(tol1=tol1, tol2=tol2, lambda_max=lambda_max)
+        stats = {}
+        want = per_candidate_detect(u, params, stats)
+        got = detect_by_density(u, params)
+        if needs == "thinned":
+            assert stats["confirmed"] > len(want)
+        else:
+            assert stats.get(needs)
+        assert got and got == want
+
+    @pytest.mark.parametrize("shift", [1, 5])
+    def test_rotation_equivariance(self, shift):
+        ring = small_ring(5, 63)
+        rng = np.random.default_rng(3)
+        z = ring.centers[:, 0] + 1j * ring.centers[:, 1]
+        zeros = rng.uniform(0.9, 1.1, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+        vals = np.ones_like(z) + 0.05 * (rng.standard_normal(z.size)
+                                         + 1j * rng.standard_normal(z.size))
+        for zi, ci in zip(zeros, (+1, -1, +1)):
+            vals = vals * sat_vortex(z, zi, ci, xi=0.1)
+        perm = np.arange(ring.n_triangles)
+        for _ in range(shift):
+            perm = rotation_permutation(ring)[perm]
+        rotated = np.empty_like(vals)
+        rotated[perm] = vals
+        params = DetectionParams(tol1=0.3, tol2=0.05, lambda_max=3)
+        before = detect_by_density(Field(ring, vals), params)
+        after = detect_by_density(Field(ring, rotated), params)
+        assert len(before) >= 2
+        mapped = [(int(perm[r.triangle]), r.characteristic_length, r.index_or_sign,
+                   r.extremum_value) for r in before]
+        assert sorted(mapped) == [(r.triangle, r.characteristic_length, r.index_or_sign,
+                                   r.extremum_value) for r in after]
+
+    def test_one_shell_search_per_band_and_kind(self, mesh, monkeypatch):
+        calls = []
+
+        def counted(m, center, max_lambda):
+            calls.append(center)
+            return triangle_shells(m, center, max_lambda)
+
+        monkeypatch.setattr(vortex, "triangle_shells", counted)
+        u = planted_state(mesh, [1.0 + 0j, 1j, -1.0 + 0j, -1j], [+1, -1, +1, +1])
+        recs = detect_by_density(u, DetectionParams())
+        cand = np.flatnonzero(u.abs2() < DetectionParams().tol1)
+        groups = np.unique(2 * mesh.band[cand] + mesh.kind[cand])
+        # One template per (band, kind) with a candidate, one shell for the
+        # winding of each record.
+        assert len(calls) == groups.size + len(recs)
+        assert groups.size < cand.size
+
+
 class TestWinding:
     def test_canonical_signs(self, mesh):
         z = mesh.centers[:, 0] + 1j * mesh.centers[:, 1]
@@ -171,6 +336,20 @@ class TestWinding:
         object.__setattr__(poisoned, "values", vals)
         with pytest.raises(ValueError, match="zero modulus"):
             vortex_index(poisoned, rec)
+
+    def test_unwrap_invariant_raises_numerical_error(self, mesh, monkeypatch):
+        z = mesh.centers[:, 0] + 1j * mesh.centers[:, 1]
+        t0 = center_triangle(mesh, 1.0 + 0j)
+        u = planted_state(mesh, [z[t0]], [+1])
+        rec = detect_by_density(u, DetectionParams())[0]
+        # An unwrap that leaves a jump above pi breaks the lifting invariant;
+        # the detector must not mistake it for an unreliable record.
+        monkeypatch.setattr(vortex.np, "unwrap", lambda p: p + 4.0 * np.arange(p.size))
+        match = f"center {rec.triangle} on shell {rec.characteristic_length}"
+        with pytest.raises(NumericalError, match=match):
+            vortex_index(u, rec)
+        with pytest.raises(NumericalError, match=match):
+            detect_by_density(u, DetectionParams())
 
 
 class TestRegularizedVorticity:
