@@ -21,7 +21,7 @@ from typing import Callable
 from .dynamics import SplitStepConfig
 from .errors import ConfigError
 from .ground_state import GradientFlowConfig
-from .mesh import MeshParams
+from .mesh import MeshParams, max_triangle_angle
 from .potentials import PotentialParams
 from .vortex import DetectionParams
 
@@ -297,6 +297,11 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
             fields[name] = _PARTS[name](**kwargs)
             if name == "split":
                 fields[name].n_steps  # noqa: B018 -- tau must divide t_max
+            if name == "mesh":
+                angle = max_triangle_angle(fields[name])
+                if not angle < math.pi / 2.0:
+                    raise ValueError(f"mesh triangles are not acute: max angle "
+                                     f"{angle:.6f} >= pi/2")
         except ValueError as exc:
             raise fail(section, exc) from None
     if fields["time_k_min"] > fields["time_k_max"]:

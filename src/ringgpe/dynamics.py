@@ -78,7 +78,7 @@ class KineticFlow:
         eye = sp.identity(n, format="csr", dtype=np.complex128)
         self._minus = (eye - z * op.A_T).tocsr()
         self._plus = (eye + z * op.A_T).tocsr()
-        self._solver = SlotFFTSolver(op, 1.0, -z, self._minus)
+        self._solver = SlotFFTSolver(op, 1.0, -z)
 
     def apply(self, u: Field) -> Field:
         if u.mesh is not self.op.mesh:

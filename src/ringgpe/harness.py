@@ -94,9 +94,9 @@ def run_space_convergence(config: RunConfig, out_dir) -> SpaceConvergenceResult:
     out_dir = Path(out_dir)
     files = [
         out_io.write_csv(out_dir / "space_convergence.csv",
-                         ["h", "beta", "residual"], rows),
+                         ["h", "beta", "residual"], list(zip(*rows))),
         out_io.write_csv(out_dir / "space_slopes.csv", ["beta", "slope"],
-                         sorted(slopes.items())),
+                         [list(slopes), list(slopes.values())]),
     ]
     out_io.write_manifest(out_dir, files, serialize_config(config))
     return SpaceConvergenceResult(rows=tuple(rows), slopes=slopes, files=files)
@@ -145,7 +145,7 @@ def run_time_convergence(config: RunConfig, out_dir) -> TimeConvergenceResult:
 
     out_dir = Path(out_dir)
     files = [out_io.write_csv(out_dir / "time_convergence.csv",
-                              ["k", "tau", "m_phi"], rows)]
+                              ["k", "tau", "m_phi"], list(zip(*rows)))]
     out_io.write_manifest(out_dir, files, serialize_config(config))
     return TimeConvergenceResult(rows=tuple(rows), orders=orders, files=files)
 
@@ -310,8 +310,8 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
             files.append(out_io.write_vortex_table(out_dir / "vortices.csv", rows))
             timings = out_io.write_csv(
                 out_dir / "detector_timings.csv", ["method", "seconds", "count"],
-                [(name, result.detector_seconds[name], len(result.vortices[name]))
-                 for name in detectors])
+                [list(detectors), [result.detector_seconds[n] for n in detectors],
+                 [len(result.vortices[n]) for n in detectors]])
             files.append(timings)
             unhashed.append(timings)
 

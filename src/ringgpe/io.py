@@ -1,22 +1,23 @@
 """File output: CSV tables, legacy VTK snapshots, and run manifests.
 
-Floats are written with 17 significant digits so a write/read round trip
-reproduces the double exactly. VTK output uses the legacy ASCII format
-(DataFile version 3.0, unstructured grid, cell data) because every viewer
-still reads it. Writers return the path they wrote so callers can collect
-the list for the manifest; the manifest records a sha256 per file (files
-of measured wall-clock data by path alone), and no writer embeds
-timestamps, keeping repeat runs and their manifests byte-identical.
+Every CSV row and VTK data line comes from one column formatter, which
+renders each column by dtype: integers in decimal, floats with 17
+significant digits (a write/read round trip reproduces the double exactly),
+booleans as true/false, strings unchanged; nothing is quoted, so a string
+holding a comma, a quote or a line break is refused. VTK output is legacy
+ASCII (DataFile version 3.0, unstructured grid, cell data), which every
+viewer still reads. Writers return the path they wrote for the manifest,
+which records a sha256 per file (files of measured wall-clock data by path
+alone); no writer embeds timestamps, so repeat runs are byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,122 +43,122 @@ __all__ = [
 ]
 
 _VTK_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+_FLOAT_FORMAT = "%.17g"
+# Rows per joined write: bounds the text held in memory for a large table.
+_BLOCK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
     """Shortest-ish decimal that reconstructs the double: 17 significant digits."""
-    return "%.17g" % float(x)
+    return _FLOAT_FORMAT % float(x)
 
 
-def _format_cell(value) -> str:
-    # bool first: it is an int subclass.
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
+# Cell text by dtype kind; a column of any other kind is refused.
+_RENDER = {
+    "b": lambda v: "true" if v else "false",
+    "i": str,
+    "u": str,
+    "f": _FLOAT_FORMAT.__mod__,
+    "U": str,
+}
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a table; every row must match the header width."""
+def _lines(columns: Iterable, sep: str = ",") -> Iterator[str]:
+    """Check the columns; return the text of their rows, one block at a time."""
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.ndim != 1 or c.dtype.kind not in _RENDER:
+            raise TypeError(f"unsupported column of {c.dtype} with shape {c.shape}")
+        if c.dtype.kind == "U" and any(map(_NEEDS_QUOTING.search, c.tolist())):
+            raise ValueError("text cells must not hold a comma, a quote or a line break")
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns differ in length")
+
+    def blocks():
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            cells = [map(_RENDER[c.dtype.kind], c[start:start + _BLOCK_ROWS].tolist())
+                     for c in columns]
+            yield "".join([sep.join(row) + "\n" for row in zip(*cells)])
+
+    return blocks()
+
+
+def _write(path, parts: Sequence[Iterable[str]]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    width = len(header)
     with open(path, "w", encoding="ascii", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"row width {len(row)} != header width {width}")
-            writer.writerow([_format_cell(v) for v in row])
+        for part in parts:
+            handle.writelines(part)
     return path
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> Path:
+    """Write a table given as columns; their number must match the header's."""
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for header width {len(header)}")
+    return _write(path, [_lines([[name] for name in header]), _lines(columns)])
 
 
 def write_mesh_tables(out_dir, mesh: RingMesh) -> list[Path]:
     """vertices.csv, triangles.csv and edges.csv under out_dir."""
     out_dir = Path(out_dir)
-    paths = [
-        write_csv(
-            out_dir / "vertices.csv",
-            ["vertex", "x", "y"],
-            ((i, v[0], v[1]) for i, v in enumerate(mesh.vertices)),
-        ),
-        write_csv(
-            out_dir / "triangles.csv",
-            ["triangle", "band", "slot", "kind", "v0", "v1", "v2",
-             "center_x", "center_y", "area"],
-            ((i, mesh.band[i], mesh.slot[i], mesh.kind[i],
-              mesh.triangles[i, 0], mesh.triangles[i, 1], mesh.triangles[i, 2],
-              mesh.centers[i, 0], mesh.centers[i, 1], mesh.areas[i])
-             for i in range(mesh.n_triangles)),
-        ),
-        write_csv(
-            out_dir / "edges.csv",
-            ["edge", "v0", "v1", "triangle_K", "triangle_L", "length",
-             "center_distance", "normal_x", "normal_y"],
-            ((i, mesh.edge_vertices[i, 0], mesh.edge_vertices[i, 1],
-              mesh.edge_K[i], mesh.edge_L[i], mesh.edge_length[i],
-              mesh.edge_d[i], mesh.edge_normal[i, 0], mesh.edge_normal[i, 1])
-             for i in range(mesh.edge_K.size)),
-        ),
+    return [
+        write_csv(out_dir / "vertices.csv", ["vertex", "x", "y"],
+                  [np.arange(mesh.n_vertices), *mesh.vertices.T]),
+        write_csv(out_dir / "triangles.csv",
+                  ["triangle", "band", "slot", "kind", "v0", "v1", "v2",
+                   "center_x", "center_y", "area"],
+                  [np.arange(mesh.n_triangles), mesh.band, mesh.slot, mesh.kind,
+                   *mesh.triangles.T, *mesh.centers.T, mesh.areas]),
+        write_csv(out_dir / "edges.csv",
+                  ["edge", "v0", "v1", "triangle_K", "triangle_L", "length",
+                   "center_distance", "normal_x", "normal_y"],
+                  [np.arange(mesh.n_edges), *mesh.edge_vertices.T, mesh.edge_K,
+                   mesh.edge_L, mesh.edge_length, mesh.edge_d, *mesh.edge_normal.T]),
     ]
-    return paths
 
 
 def write_admissibility_table(path, report: AdmissibilityReport) -> Path:
-    return write_csv(
-        path,
-        ["max_angle", "max_orthogonality_defect", "min_center_margin",
-         "min_center_distance", "is_admissible"],
-        [(report.max_angle, report.max_orthogonality_defect,
-          report.min_center_margin, report.min_center_distance,
-          report.is_admissible)],
-    )
+    # One row; the columns are the report's fields, in order.
+    fields = vars(report)
+    return write_csv(path, list(fields), [[v] for v in fields.values()])
 
 
 def write_field_table(path, u: Field) -> Path:
     v = u.values
-    dens = np.abs(v) ** 2
-    return write_csv(
-        path,
-        ["triangle", "re", "im", "density"],
-        ((i, v[i].real, v[i].imag, dens[i]) for i in range(v.size)),
-    )
+    return write_csv(path, ["triangle", "re", "im", "density"],
+                     [np.arange(v.size), v.real, v.imag, np.abs(v) ** 2])
 
 
 def write_observables_table(path, times, mass, energy, err_reference=None) -> Path:
-    times = np.asarray(times)
-    header = ["t", "mass", "energy"]
-    if err_reference is not None:
-        header.append("err_reference")
-        rows = zip(times, mass, energy, err_reference)
-    else:
-        rows = zip(times, mass, energy)
-    return write_csv(path, header, rows)
+    if err_reference is None:
+        return write_csv(path, ["t", "mass", "energy"], [times, mass, energy])
+    return write_csv(path, ["t", "mass", "energy", "err_reference"],
+                     [times, mass, energy, err_reference])
 
 
 def write_flow_history_table(path, energies, residuals) -> Path:
-    return write_csv(
-        path,
-        ["iteration", "energy", "residual"],
-        ((i, e, r) for i, (e, r) in enumerate(zip(energies, residuals))),
-    )
+    return write_csv(path, ["iteration", "energy", "residual"],
+                     [np.arange(len(energies)), energies, residuals])
 
 
 def write_vortex_table(path, rows: Iterable[tuple[float, VortexRecord]]) -> Path:
     """One line per (time, record) pair, all methods mixed in one table."""
-    return write_csv(
-        path,
-        ["t", "method", "triangle", "x", "y", "index",
-         "characteristic_length", "extremum", "reliable"],
-        ((t, r.method, r.triangle, r.position[0], r.position[1],
-          r.index_or_sign, r.characteristic_length, r.extremum_value,
-          r.reliable) for t, r in rows),
-    )
+    header = ["t", "method", "triangle", "x", "y", "index",
+              "characteristic_length", "extremum", "reliable"]
+    cells = [(t, r.method, r.triangle, *r.position, r.index_or_sign,
+              r.characteristic_length, r.extremum_value, r.reliable) for t, r in rows]
+    # Without records, zip gives no columns at all: write the header alone.
+    return write_csv(path, header, list(zip(*cells)) or [()] * len(header))
+
+
+def _mode_grid(basis) -> list[np.ndarray]:
+    """p and ell of the (P+1) x (2L+1) mode grid in row-major order."""
+    ells = np.arange(-basis.L, basis.L + 1)
+    return [np.repeat(np.arange(basis.P + 1), ells.size), np.tile(ells, basis.P + 1)]
 
 
 def write_mode_table(path, coeffs, basis) -> Path:
@@ -165,20 +166,16 @@ def write_mode_table(path, coeffs, basis) -> Path:
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (basis.P + 1, 2 * basis.L + 1):
         raise ValueError(f"coefficient grid {coeffs.shape} does not match basis")
-    rows = []
-    for p in range(basis.P + 1):
-        for ell in range(-basis.L, basis.L + 1):
-            c = coeffs[p, ell + basis.L]
-            rows.append((p, ell, c.real, c.imag, abs(c) ** 2))
-    return write_csv(path, ["p", "ell", "re", "im", "power"], rows)
+    c = coeffs.ravel()
+    # Scalar abs, not np.abs: the array form differs in the last digit.
+    power = [abs(x) ** 2 for x in c]
+    return write_csv(path, ["p", "ell", "re", "im", "power"],
+                     [*_mode_grid(basis), c.real, c.imag, power])
 
 
 def write_eigenvalue_table(path, basis) -> Path:
-    rows = []
-    for p in range(basis.P + 1):
-        for ell in range(-basis.L, basis.L + 1):
-            rows.append((p, ell, basis.eigenvalue(p, ell)))
-    return write_csv(path, ["p", "ell", "eigenvalue"], rows)
+    return write_csv(path, ["p", "ell", "eigenvalue"],
+                     [*_mode_grid(basis), basis.eigenvalues.ravel()])
 
 
 def field_cell_data(u: Field) -> dict[str, np.ndarray]:
@@ -193,40 +190,26 @@ def write_legacy_vtk(path, mesh: RingMesh, cell_data: Mapping[str, np.ndarray] |
     if "\n" in title or len(title) > 255:
         raise ValueError("title must be a single line of at most 255 characters")
     n_cells = mesh.n_triangles
-    arrays = dict(cell_data) if cell_data else {}
-    for name, values in arrays.items():
+    parts = [
+        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+         f"POINTS {mesh.n_vertices} double\n"],
+        _lines([*mesh.vertices.T, np.zeros(mesh.n_vertices, int)], sep=" "),
+        [f"CELLS {n_cells} {4 * n_cells}\n"],
+        _lines([np.full(n_cells, 3), *mesh.triangles.T], sep=" "),
+        [f"CELL_TYPES {n_cells}\n"],
+        _lines([np.full(n_cells, 5)]),
+    ]
+    if cell_data:
+        parts.append([f"CELL_DATA {n_cells}\n"])
+    for name, values in (cell_data or {}).items():
         if not _VTK_NAME.match(name):
             raise ValueError(f"invalid VTK array name {name!r}")
         values = np.asarray(values)
         if values.shape != (n_cells,) or values.dtype.kind not in "fiu":
             raise ValueError(f"array {name!r} must hold one real value per triangle")
-        arrays[name] = values.astype(float)
-
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    lines.extend(
-        f"{format_float(x)} {format_float(y)} 0"
-        for x, y in mesh.vertices
-    )
-    lines.append(f"CELLS {n_cells} {4 * n_cells}")
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles)
-    lines.append(f"CELL_TYPES {n_cells}")
-    lines.extend("5" for _ in range(n_cells))
-    if arrays:
-        lines.append(f"CELL_DATA {n_cells}")
-        for name, values in arrays.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(format_float(v) for v in values)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
+        parts.append([f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"])
+        parts.append(_lines([values.astype(float)]))
+    return _write(path, parts)
 
 
 def sha256_of(path) -> str:

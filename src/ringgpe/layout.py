@@ -87,18 +87,16 @@ class SlotFFTSolver:
     """Solve (diag(shift) + scale A_T) x = b by FFT over slots.
 
     shift is a scalar or a per-triangle array that must be slot-invariant
-    (only its slot mean is factored); mat is the assembled sparse matrix.
-    The factorization is one ?gttrf over all modes of op.slot_symbol; each
-    solve is FFT -> ?gttrs -> inverse FFT followed by one refinement step
-    against mat, which removes the round-off by which the assembled matrix
-    departs from exact slot invariance. The result is real when shift,
-    scale and b are.
+    (only its slot mean is factored). The factorization is one ?gttrf over
+    all modes of op.slot_symbol; each solve is FFT -> ?gttrs -> inverse FFT.
+    The assembled matrix departs from exact slot invariance by round-off, so
+    callers refine against it (ground_state.checked_solve). The result is
+    real when shift, scale and b are.
     """
 
-    def __init__(self, op: LaplacianOperator, shift, scale: complex, mat: sp.spmatrix):
+    def __init__(self, op: LaplacianOperator, shift, scale: complex):
         mesh = op.mesh
         self.mesh = mesh
-        self.mat = mat
         self._real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
         shift = np.broadcast_to(shift, (mesh.n_triangles,))
         # Slot mean per (band, kind), in mode order j = 2*band + 1 - kind.
@@ -114,7 +112,7 @@ class SlotFFTSolver:
         if info != 0:
             raise NumericalError(f"singular slot-mode system (gttrf info {info})")
 
-    def _fft_solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         # (band, slot, kind) -> (slot mode, band, 1 - kind) and back.
         mesh = self.mesh
         bh = scipy.fft.fft(slot_view(mesh, b).transpose(1, 0, 2)[:, :, ::-1], axis=0)
@@ -126,7 +124,3 @@ class SlotFFTSolver:
         if self._real and not np.iscomplexobj(b):
             return x.real.copy()
         return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._fft_solve(b)
-        return x + self._fft_solve(b - self.mat @ x)

@@ -93,15 +93,6 @@ def compute_radii(n_circles: int, r_min: float, r_max: float) -> np.ndarray:
     return _radii_from_increments(inc, r_min, r_max)
 
 
-def _paper_radii(n_bands: int, r_min: float, r_max: float) -> np.ndarray:
-    # Published variant: N_c increments f(k/N_c), k = 1 .. N_c, spanning
-    # N_c + 1 circles. With the alpha above these already sum to r_max - r_min
-    # up to rounding; the rescale factor is 1 + O(eps).
-    k = np.arange(1, n_bands + 1)
-    inc = _increment_profile(k / n_bands, n_bands, r_min, r_max)
-    return _radii_from_increments(inc, r_min, r_max)
-
-
 @dataclass(eq=False)
 class RingMesh:
     """Triangulation with the precomputed geometry the flux operators need.
@@ -176,8 +167,8 @@ def _circumcenters(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
-def build_ring_mesh(params: MeshParams) -> RingMesh:
-    """Build the twisted annulus triangulation for the given parameters."""
+def _circles(params: MeshParams) -> tuple[np.ndarray, int]:
+    """Radii of the mesh circles and the point count N_p per circle."""
     n_c, n_p = derive_mesh_counts(params.h, params.r_min, params.r_max)
     if params.n_circles is not None:
         n_c = int(params.n_circles)
@@ -185,24 +176,29 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
         n_p = int(params.n_points)
     if n_c < 2 or n_p < 3:
         raise ValueError("mesh counts too small")
+    if not params.match_paper_counts:
+        return compute_radii(n_c, params.r_min, params.r_max), n_p
+    # Published variant: N_c increments f(k/N_c), k = 1 .. N_c, spanning
+    # N_c + 1 circles. With the alpha above these already sum to r_max - r_min
+    # up to rounding; the rescale factor is 1 + O(eps).
+    inc = _increment_profile(np.arange(1, n_c + 1) / n_c, n_c, params.r_min, params.r_max)
+    return _radii_from_increments(inc, params.r_min, params.r_max), n_p
 
-    if params.match_paper_counts:
-        radii = _paper_radii(n_c, params.r_min, params.r_max)
-    else:
-        radii = compute_radii(n_c, params.r_min, params.r_max)
-    n_circ = radii.size
 
-    # Vertices: circle j twisted by -j * pi/N_p relative to circle 0.
-    j = np.arange(n_circ)[:, None]
-    k = np.arange(n_p)[None, :]
+def _vertex_positions(radii: np.ndarray, n_p: int, ids: np.ndarray) -> np.ndarray:
+    # Vertex j*N_p + k: point k of circle j, twisted by -j*pi/N_p from circle 0.
+    j, k = np.divmod(ids, n_p)
     theta = (2 * k - j) * (math.pi / n_p)
-    vertices = np.empty((n_circ * n_p, 2))
-    vertices[:, 0] = (radii[:, None] * np.cos(theta)).ravel()
-    vertices[:, 1] = (radii[:, None] * np.sin(theta)).ravel()
+    return np.stack([radii[j] * np.cos(theta), radii[j] * np.sin(theta)], axis=-1)
 
-    # Two triangles per (band, slot): kind 0 has its apex on the inner circle,
-    # kind 1 on the outer circle. Slot k+1 wraps around.
+
+def _slot_triangles(n_circ: int, n_p: int, slots: np.ndarray) -> np.ndarray:
+    """Vertex ids of the triangles (band, slot in slots, kind), in index order.
+
+    Kind 0 has its apex on the inner circle of the band, kind 1 on the outer.
+    """
     jb = np.arange(n_circ - 1)[:, None]
+    k = np.asarray(slots)[None, :]
     kp = (k + 1) % n_p
     v00 = jb * n_p + k
     v01 = jb * n_p + kp
@@ -210,7 +206,35 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
     v11 = (jb + 1) * n_p + kp
     t_in = np.stack(np.broadcast_arrays(v00, v10, v11), axis=-1)
     t_out = np.stack(np.broadcast_arrays(v00, v01, v11), axis=-1)
-    triangles = np.stack([t_in, t_out], axis=2).reshape(-1, 3)
+    return np.stack([t_in, t_out], axis=2).reshape(-1, 3)
+
+
+def _max_angle(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> float:
+    """Largest interior angle of the triangles (pa[i], pb[i], pc[i])."""
+    max_angle = 0.0
+    for u, v, w in ((pa, pb, pc), (pb, pc, pa), (pc, pa, pb)):
+        e1 = v - u
+        e2 = w - u
+        cosang = np.einsum("ij,ij->i", e1, e2) / (
+            np.hypot(e1[:, 0], e1[:, 1]) * np.hypot(e2[:, 0], e2[:, 1]))
+        max_angle = max(max_angle, float(np.arccos(np.clip(cosang, -1.0, 1.0)).max()))
+    return max_angle
+
+
+def max_triangle_angle(params: MeshParams) -> float:
+    """Largest triangle angle of build_ring_mesh(params), from the 2*n_bands
+    triangles of slot 0 (every slot is a rotation of it, up to round-off)."""
+    radii, n_p = _circles(params)
+    corners = _vertex_positions(radii, n_p, _slot_triangles(radii.size, n_p, [0]))
+    return _max_angle(corners[:, 0], corners[:, 1], corners[:, 2])
+
+
+def build_ring_mesh(params: MeshParams) -> RingMesh:
+    """Build the twisted annulus triangulation for the given parameters."""
+    radii, n_p = _circles(params)
+    n_circ = radii.size
+    vertices = _vertex_positions(radii, n_p, np.arange(n_circ * n_p))
+    triangles = _slot_triangles(n_circ, n_p, np.arange(n_p))
     n_tri = triangles.shape[0]
     tri_idx = np.arange(n_tri)
     band = tri_idx // (2 * n_p)
@@ -364,14 +388,7 @@ def verify_admissibility(mesh: RingMesh, orth_tol: float = 1e-10) -> Admissibili
     pa = mesh.vertices[mesh.triangles[:, 0]]
     pb = mesh.vertices[mesh.triangles[:, 1]]
     pc = mesh.vertices[mesh.triangles[:, 2]]
-
-    max_angle = 0.0
-    for u, v, w in ((pa, pb, pc), (pb, pc, pa), (pc, pa, pb)):
-        e1 = v - u
-        e2 = w - u
-        cosang = np.einsum("ij,ij->i", e1, e2) / (
-            np.hypot(e1[:, 0], e1[:, 1]) * np.hypot(e2[:, 0], e2[:, 1]))
-        max_angle = max(max_angle, float(np.arccos(np.clip(cosang, -1.0, 1.0)).max()))
+    max_angle = _max_angle(pa, pb, pc)
 
     # Barycentric coordinates of the circumcenter in its triangle.
     d = mesh.centers

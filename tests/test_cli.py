@@ -88,6 +88,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "line 6" in err
 
+    def test_obtuse_mesh_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "obtuse.ini"
+        bad.write_text("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 0.06\nn_points = 40\n")
+        assert cli.main(["mesh", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "max angle 2.418662" in err
+        assert not (tmp_path / "o").exists()
+
     def test_threads_must_be_positive(self, tiny_path):
         assert cli.main(["mesh", "--config", tiny_path, "--threads", "0"]) == 2
 

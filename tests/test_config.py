@@ -13,6 +13,7 @@ from ringgpe.config import (
     serialize_config,
 )
 from ringgpe.errors import ConfigError
+from ringgpe.mesh import POINT_COUNT_FACTOR, MeshParams, build_ring_mesh, verify_admissibility
 
 MINIMAL = """
 [mesh]
@@ -90,6 +91,19 @@ BAD_CONFIGS = [
      "time_k_min exceeds time_k_max"),
     (MINIMAL + "[harness]\nspace_h = 0.1, -0.05\n", "entries must be positive"),
     (MINIMAL + "[harness]\nspace_h = 0.1,,0.05\n", "comma-separated"),
+    ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 0.06\nn_points = 40\n",
+     "line 1: [mesh]: mesh triangles are not acute: max angle 2.418662"),
+    ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 1.0\n", "[mesh]: mesh counts too small"),
+]
+
+# Mesh parameters over MINIMAL's, acute and not, in both radius families.
+MESH_OVERRIDES = [
+    {},
+    {"h": 0.06, "n_points": 40},
+    {"n_circles": 5, "n_points": 40},
+    {"n_circles": 3, "n_points": 3},
+    {"n_circles": 12, "n_points": 100, "match_paper_counts": True},
+    {"n_circles": 12, "n_points": 20, "match_paper_counts": True},
 ]
 
 
@@ -100,6 +114,19 @@ class TestDiagnostics:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("override", MESH_OVERRIDES)
+    def test_acuteness_verdict_matches_admissibility(self, override):
+        # The parse-time check looks at slot 0 only; the built mesh agrees.
+        params = MeshParams(**{"r_min": 0.6, "r_max": 1.4, "h": 0.1, **override})
+        text = "[mesh]\n" + "".join(f"{key} = {_ini_value(value)}\n"
+                                    for key, value in vars(params).items()
+                                    if value is not None)
+        if verify_admissibility(build_ring_mesh(params)).is_admissible:
+            assert parse_config(text).mesh == params
+        else:
+            with pytest.raises(ConfigError, match="not acute"):
+                parse_config(text)
 
     def test_duplicate_key_in_reopened_section(self):
         text = MINIMAL + "[physics]\nm = 5\n[mesh]\nh = 0.2\n"
@@ -129,15 +156,24 @@ def _ini_value(value) -> str:
 def valid_config_texts(draw):
     """INI text of a random valid config; optional keys are sometimes left out."""
     r_min = draw(st.floats(min_value=1e-3, max_value=10.0))
+    r_max = r_min + draw(st.floats(min_value=1e-3, max_value=10.0))
     tau = draw(st.floats(min_value=1e-6, max_value=1.0))
     k_min = draw(st.integers(2, 20))
+    # Only acute meshes parse. h gives 2..100 circles; a point count, when
+    # set, is at least the acute count derive_mesh_counts gives for the
+    # circle count in force; a circle count set without one stays within h's.
+    h_circles = draw(st.integers(2, 100))
+    keep_circles, keep_points = draw(st.booleans()), draw(st.booleans())
+    n_circles = draw(st.integers(2, 100 if keep_points else h_circles))
+    min_points = math.ceil(POINT_COUNT_FACTOR * (n_circles if keep_circles else h_circles)
+                           / (1.0 - r_min / r_max))
     sections = {
         "mesh": {
             "r_min": r_min,
-            "r_max": r_min + draw(st.floats(min_value=1e-3, max_value=10.0)),
-            "h": draw(_POSITIVE),
-            "n_circles": draw(st.integers(2, 10_000)),
-            "n_points": draw(st.integers(3, 10_000)),
+            "r_max": r_max,
+            "h": (r_max - r_min) / (h_circles - 0.5),
+            "n_circles": n_circles,
+            "n_points": draw(st.integers(min_points, min_points + 10_000)),
             "match_paper_counts": draw(st.booleans()),
         },
         "physics": {
@@ -186,7 +222,8 @@ def valid_config_texts(draw):
     }
     # Coupled keys go in or out together: the drawn tau divides the drawn
     # t_max, and the drawn time_k_min is at most the drawn time_k_max.
-    keep = {"r_min": True, "r_max": True, "h": True}
+    keep = {"r_min": True, "r_max": True, "h": True,
+            "n_circles": keep_circles, "n_points": keep_points}
     keep["tau"] = keep["t_max"] = draw(st.booleans())
     keep["time_k_min"] = keep["time_k_max"] = draw(st.booleans())
     lines = []

@@ -1,12 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ringgpe import io as rio
 from ringgpe.fv import Field
-from ringgpe.mesh import MeshParams, build_ring_mesh, verify_admissibility
-from ringgpe.spectral import mode_basis
+from ringgpe.mesh import AdmissibilityReport, MeshParams, build_ring_mesh, verify_admissibility
+from ringgpe.spectral import ModeBasis, mode_basis
 from ringgpe.vortex import METHOD_DENSITY, METHOD_PSEUDO_VORTICITY, VortexRecord
 
 
@@ -41,7 +42,7 @@ class TestFormatting:
 
     def test_cell_types(self, tmp_path):
         path = rio.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
-                             [(1, 2.5, "name", True), (-3, 1e-300, "x", False)])
+                             [[1, -3], [2.5, 1e-300], ["name", "x"], [True, False]])
         _, rows = read_csv(path)
         assert rows[0] == ["1", "2.5", "name", "true"]
         assert rows[1][3] == "false"
@@ -49,15 +50,218 @@ class TestFormatting:
 
     def test_rejects_unsupported_cell(self, tmp_path):
         with pytest.raises(TypeError, match="complex"):
-            rio.write_csv(tmp_path / "t.csv", ["a"], [(1 + 2j,)])
+            rio.write_csv(tmp_path / "t.csv", ["a"], [[1 + 2j]])
 
     def test_rejects_ragged_row(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
-            rio.write_csv(tmp_path / "t.csv", ["a", "b"], [(1,)])
+            rio.write_csv(tmp_path / "t.csv", ["a", "b"], [[1]])
 
     def test_creates_parent_directories(self, tmp_path):
-        path = rio.write_csv(tmp_path / "deep" / "er" / "t.csv", ["a"], [(1,)])
+        path = rio.write_csv(tmp_path / "deep" / "er" / "t.csv", ["a"], [[1]])
         assert path.exists()
+
+
+# Hand-built inputs holding the values a formatter gets wrong most easily:
+# -0.0, the smallest subnormal, huge, nan and infinite floats, negative and
+# unsigned integers, booleans and text.
+NASTY = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, -2.5])
+DIRECT_TABLE = (["i", "u", "x", "ok", "name"],
+                [[-3, 7], np.array([0, 255], dtype=np.uint8), [-0.0, np.inf],
+                 [True, False], ["a b", "z"]])
+
+
+def hand_mesh():
+    return SimpleNamespace(
+        n_vertices=4, n_triangles=2, n_edges=3,
+        vertices=NASTY.reshape(4, 2),
+        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+        band=np.array([0, 1]), slot=np.array([0, 3]), kind=np.array([0, 1]),
+        centers=np.array([[1e300, -0.0], [np.nan, 5e-324]]),
+        areas=np.array([np.inf, 0.5]),
+        edge_vertices=np.array([[0, 1], [1, 2], [0, 2]]),
+        edge_K=np.array([0, 0, 1]), edge_L=np.array([-1, 1, -1]),
+        edge_length=NASTY[:3], edge_d=NASTY[3:6], edge_normal=NASTY[:6].reshape(3, 2),
+    )
+
+
+def write_every_table(out):
+    """Every writer once on hand-built inputs; returns the files written."""
+    mesh = hand_mesh()
+    u = Field(mesh, np.array([1.0 + 2.0j, -0.0 - 3e-310j]))
+    report = AdmissibilityReport(1.5, 5e-324, -0.0, np.nan, False)
+    records = [
+        (3.0, VortexRecord(12, (1.0, -0.0), 1, 2, METHOD_DENSITY, 5e-324)),
+        (3.0, VortexRecord(40, (0.3, 1e300), 0, 1, METHOD_DENSITY, 0.02,
+                           reliable=False)),
+        (3.0, VortexRecord(7, (-1.0, 0.0), -1, 0, METHOD_PSEUDO_VORTICITY, -55.0)),
+    ]
+    basis = ModeBasis(mesh, P=1, L=1, n=2, fields=[],
+                      eigenvalues=np.array([[4.0, 1e300, 4.0], [-0.0, 5e-324, 7.5]]))
+    # The last entry's power differs in the last digit between the scalar
+    # abs(c) ** 2 and np.abs(c) ** 2.
+    coeffs = np.array([[1 - 2j, -0.0 + 5e-324j, 3e-160j],
+                       [np.nan, -2.5 + 1e10j, -0.0013210486329130189 - 0.005022445517110371j]])
+    return [
+        rio.write_csv(out / "direct.csv", *DIRECT_TABLE),
+        *rio.write_mesh_tables(out, mesh),
+        rio.write_admissibility_table(out / "admissibility.csv", report),
+        rio.write_field_table(out / "field.csv", u),
+        rio.write_observables_table(out / "obs_ref.csv", np.array([0.0, 0.5]),
+                                    [1.0, np.nan], [-np.inf, 1e300], [5e-324, -0.0]),
+        rio.write_observables_table(out / "obs.csv", [0.0], [1.0], [2.0]),
+        rio.write_flow_history_table(out / "flow.csv", [2.0, -0.0], [np.inf, 1e-300]),
+        rio.write_vortex_table(out / "vortices.csv", records),
+        rio.write_vortex_table(out / "no_vortices.csv", []),
+        rio.write_mode_table(out / "modes.csv", coeffs, basis),
+        rio.write_eigenvalue_table(out / "eigenvalues.csv", basis),
+        rio.write_legacy_vtk(out / "mesh.vtk", mesh),
+        rio.write_legacy_vtk(out / "snap.vtk", mesh,
+                             {"re": u.values.real, "flag": np.array([1, -2])}, title="snap"),
+    ]
+
+
+# Bytes the writers produced before they shared one column formatter.
+PINNED_BYTES = {
+    'direct.csv': (
+        b'i,u,x,ok,name\n'
+        b'-3,0,-0,true,a b\n'
+        b'7,255,inf,false,z\n'
+    ),
+    'vertices.csv': (
+        b'vertex,x,y\n'
+        b'0,-0,4.9406564584124654e-324\n'
+        b'1,1.0000000000000001e+300,nan\n'
+        b'2,inf,-inf\n'
+        b'3,0.10000000000000001,-2.5\n'
+    ),
+    'triangles.csv': (
+        b'triangle,band,slot,kind,v0,v1,v2,center_x,center_y,area\n'
+        b'0,0,0,0,0,1,2,1.0000000000000001e+300,-0,inf\n'
+        b'1,1,3,1,0,2,3,nan,4.9406564584124654e-324,0.5\n'
+    ),
+    'edges.csv': (
+        b'edge,v0,v1,triangle_K,triangle_L,length,center_distance,normal_x,normal_y\n'
+        b'0,0,1,0,-1,-0,nan,-0,4.9406564584124654e-324\n'
+        b'1,1,2,0,1,4.9406564584124654e-324,inf,1.0000000000000001e+300,nan\n'
+        b'2,0,2,1,-1,1.0000000000000001e+300,-inf,inf,-inf\n'
+    ),
+    'admissibility.csv': (
+        b'max_angle,max_orthogonality_defect,min_center_margin,min_center_distance,is_admissible\n'
+        b'1.5,4.9406564584124654e-324,-0,nan,false\n'
+    ),
+    'field.csv': (
+        b'triangle,re,im,density\n'
+        b'0,1,2,5.0000000000000009\n'
+        b'1,-0,-2.9999999999999908e-310,0\n'
+    ),
+    'obs_ref.csv': (
+        b't,mass,energy,err_reference\n'
+        b'0,1,-inf,4.9406564584124654e-324\n'
+        b'0.5,nan,1.0000000000000001e+300,-0\n'
+    ),
+    'obs.csv': (
+        b't,mass,energy\n'
+        b'0,1,2\n'
+    ),
+    'flow.csv': (
+        b'iteration,energy,residual\n'
+        b'0,2,inf\n'
+        b'1,-0,1e-300\n'
+    ),
+    'vortices.csv': (
+        b't,method,triangle,x,y,index,characteristic_length,extremum,reliable\n'
+        b'3,density,12,1,-0,1,2,4.9406564584124654e-324,true\n'
+        b'3,density,40,0.29999999999999999,1.0000000000000001e+300,0,1,0.02,false\n'
+        b'3,pseudo_vorticity,7,-1,0,-1,0,-55,true\n'
+    ),
+    'no_vortices.csv': (
+        b't,method,triangle,x,y,index,characteristic_length,extremum,reliable\n'
+    ),
+    'modes.csv': (
+        b'p,ell,re,im,power\n'
+        b'0,-1,1,-2,5.0000000000000009\n'
+        b'0,0,0,4.9406564584124654e-324,0\n'
+        b'0,1,0,3e-160,8.999899804644147e-320\n'
+        b'1,-1,nan,0,nan\n'
+        b'1,0,-2.5,10000000000,1e+20\n'
+        b'1,1,-0.0013210486329130189,-0.0050224455171103714,2.6970128462863422e-05\n'
+    ),
+    'eigenvalues.csv': (
+        b'p,ell,eigenvalue\n'
+        b'0,-1,4\n'
+        b'0,0,1.0000000000000001e+300\n'
+        b'0,1,4\n'
+        b'1,-1,-0\n'
+        b'1,0,4.9406564584124654e-324\n'
+        b'1,1,7.5\n'
+    ),
+    'mesh.vtk': (
+        b'# vtk DataFile Version 3.0\n'
+        b'ringgpe output\n'
+        b'ASCII\n'
+        b'DATASET UNSTRUCTURED_GRID\n'
+        b'POINTS 4 double\n'
+        b'-0 4.9406564584124654e-324 0\n'
+        b'1.0000000000000001e+300 nan 0\n'
+        b'inf -inf 0\n'
+        b'0.10000000000000001 -2.5 0\n'
+        b'CELLS 2 8\n'
+        b'3 0 1 2\n'
+        b'3 0 2 3\n'
+        b'CELL_TYPES 2\n'
+        b'5\n'
+        b'5\n'
+    ),
+    'snap.vtk': (
+        b'# vtk DataFile Version 3.0\n'
+        b'snap\n'
+        b'ASCII\n'
+        b'DATASET UNSTRUCTURED_GRID\n'
+        b'POINTS 4 double\n'
+        b'-0 4.9406564584124654e-324 0\n'
+        b'1.0000000000000001e+300 nan 0\n'
+        b'inf -inf 0\n'
+        b'0.10000000000000001 -2.5 0\n'
+        b'CELLS 2 8\n'
+        b'3 0 1 2\n'
+        b'3 0 2 3\n'
+        b'CELL_TYPES 2\n'
+        b'5\n'
+        b'5\n'
+        b'CELL_DATA 2\n'
+        b'SCALARS re double 1\n'
+        b'LOOKUP_TABLE default\n'
+        b'1\n'
+        b'-0\n'
+        b'SCALARS flag double 1\n'
+        b'LOOKUP_TABLE default\n'
+        b'1\n'
+        b'-2\n'
+    ),
+}
+
+class TestExactBytes:
+    def test_every_writer_pinned(self, tmp_path):
+        written = write_every_table(tmp_path)
+        assert {f.name: f.read_bytes() for f in written} == PINNED_BYTES
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_rejects_text_that_needs_quoting(self, tmp_path, text):
+        with pytest.raises(ValueError, match="quote"):
+            rio.write_csv(tmp_path / "t.csv", ["name"], [[text]])
+        with pytest.raises(ValueError, match="quote"):
+            rio.write_csv(tmp_path / "h.csv", [text], [[1]])
+
+    def test_rows_span_blocks(self, tmp_path):
+        n = 2 * rio._BLOCK_ROWS + 3
+        x = np.random.default_rng(5).standard_normal(n)
+        path = rio.write_csv(tmp_path / "t.csv", ["i", "x"], [np.arange(n), x])
+        want = "i,x\n" + "".join(f"{i},{rio.format_float(v)}\n" for i, v in enumerate(x))
+        assert path.read_text() == want
+
+    def test_rejects_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            rio.write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
 
 
 class TestTables:
@@ -212,14 +416,14 @@ class TestManifest:
             assert target.stat().st_size == entry["bytes"]
 
     def test_paths_sorted_and_deduplicated(self, mesh, tmp_path):
-        a = rio.write_csv(tmp_path / "b.csv", ["x"], [(1,)])
-        b = rio.write_csv(tmp_path / "a.csv", ["x"], [(1,)])
+        a = rio.write_csv(tmp_path / "b.csv", ["x"], [[1]])
+        b = rio.write_csv(tmp_path / "a.csv", ["x"], [[1]])
         doc = json.loads(rio.write_manifest(tmp_path, [a, b, a], "").read_text())
         assert [e["path"] for e in doc["files"]] == ["a.csv", "b.csv"]
 
     def test_unhashed_files_listed_by_path_only(self, tmp_path):
-        a = rio.write_csv(tmp_path / "a.csv", ["x"], [(1,)])
-        t = rio.write_csv(tmp_path / "t.csv", ["s"], [(0.5,)])
+        a = rio.write_csv(tmp_path / "a.csv", ["x"], [[1]])
+        t = rio.write_csv(tmp_path / "t.csv", ["s"], [[0.5]])
         doc = json.loads(rio.write_manifest(tmp_path, [t, a], "", unhashed=[t]).read_text())
         assert [set(e) for e in doc["files"]] == [{"path", "sha256", "bytes"}, {"path"}]
         assert doc["files"][1]["path"] == "t.csv"

@@ -141,14 +141,15 @@ class TestLayout:
                 slot_symbol(mesh, bad)
 
     def test_refinement_absorbs_slot_defect(self, mesh):
-        # Only the slot mean of shift is factored; the refinement step
-        # against the assembled matrix corrects a small departure from it.
+        # Only the slot mean of shift is factored; the refinement step of
+        # checked_solve against the assembled matrix corrects a small
+        # departure from it.
         op = assemble_laplacian(mesh, "dirichlet")
         rng = np.random.default_rng(2)
         shift = 1.0 + 1e-9 * rng.standard_normal(mesh.n_triangles)
         mat = (sp.diags(shift) - 0.01 * op.A_T).tocsr()
         b = rng.standard_normal(mesh.n_triangles)
-        x = SlotFFTSolver(op, shift, -0.01, mat).solve(b)
+        x = checked_solve(SlotFFTSolver(op, shift, -0.01).solve, mat, b, "test solve")
         assert x.dtype == np.float64
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 

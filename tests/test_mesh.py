@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
 from ringgpe.mesh import (
     MeshParams,
     build_ring_mesh,
@@ -147,14 +148,23 @@ class TestGeometry:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(r_min=st.floats(0.1, 1.0), width=st.floats(0.2, 1.7),
-           steps=st.floats(2.01, 12.0), match_paper_counts=st.booleans())
-    def test_random_meshes_admissible(self, r_min, width, steps, match_paper_counts):
+           steps=st.floats(2.01, 12.0), match_paper_counts=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_meshes_admissible(self, r_min, width, steps, match_paper_counts, seed):
         # h <= width / 2.01 gives at least three circles.
         mesh = build_ring_mesh(MeshParams(r_min=r_min, r_max=r_min + width,
                                           h=width / steps,
                                           match_paper_counts=match_paper_counts))
         assert mesh.n_circles >= 3
         assert verify_admissibility(mesh).is_admissible
+        # A_T is self-adjoint for the area-weighted inner product.
+        u, v = (Field(mesh, x) for x in
+                np.random.default_rng(seed).standard_normal((2, mesh.n_triangles)))
+        for bc in ("dirichlet", "neumann"):
+            a_t = assemble_laplacian(mesh, bc).A_T
+            au, av = Field(mesh, a_t @ u.values), Field(mesh, a_t @ v.values)
+            gap = abs(inner_product(au, v) - inner_product(u, av))
+            assert gap <= 1e-14 * norm(au) * norm(v)
 
     def test_circumcenters_equidistant(self, desk_mesh):
         p = desk_mesh.vertices[desk_mesh.triangles]
