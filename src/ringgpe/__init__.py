@@ -19,8 +19,9 @@ _EXPORTS = {
         "normalize",
     ),
     "potentials": (
-        "PotentialParams", "eval_rotating", "eval_total", "eval_trap",
-        "phase_integral", "total_field", "trap_field",
+        "PhaseTable", "PotentialParams", "eval_rotating", "eval_total",
+        "eval_trap", "phase_integral", "phase_table", "total_field",
+        "trap_field",
     ),
     "ground_state": (
         "GradientFlowConfig", "GroundStateResult", "compute_ground_state",

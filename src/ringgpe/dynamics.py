@@ -7,8 +7,11 @@ the phase flow for the remaining half:
     Phi(tau, t) = B(tau/2, t + tau/2) o A(tau) o B(tau/2, t).
 
 B multiplies by a pointwise phase (the exact time integral of the potential
-plus tau*gamma*|w|^2) and preserves every modulus; A is unitary for the
-area-weighted inner product because A_T is self-adjoint for it. Because B
+plus tau*gamma*|w|^2) and preserves every modulus; evolve tabulates the
+time-independent factors of that integral once (potentials.phase_table). A
+is unitary for the area-weighted inner product because A_T is self-adjoint
+for it; with M = I - z A_T it is applied as M^-1 (I + z A_T) u = 2 M^-1 u - u,
+so a step solves M x = u and needs no product with I + z A_T. Because B
 preserves moduli, the trailing half-B of one step and the leading half-B of
 the next fuse into a single full B, which the evolution loop exploits; the
 trailing half is applied to a copy whenever a snapshot is due.
@@ -25,7 +28,7 @@ from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
 from .ground_state import checked_solve, energy
 from .layout import SlotFFTSolver
-from .potentials import PotentialParams, phase_integral, total_field
+from .potentials import PhaseTable, PotentialParams, phase_integral, phase_table, total_field
 
 
 @dataclass(frozen=True)
@@ -49,22 +52,26 @@ class SplitStepConfig:
 
 
 def flow_potential(u: Field, t: float, dt: float, params: PotentialParams,
-                   gamma: float) -> Field:
+                   gamma: float, table: PhaseTable | None = None) -> Field:
     """Exact phase flow of the potential + nonlinear part over [t, t+dt].
 
     w -> exp(-i [integral_t^{t+dt} V ds + dt gamma |w|^2]) w; the modulus of
-    every entry is preserved exactly.
+    every entry is preserved exactly. table, a phase_table of params at the
+    mesh's circumcenters, saves recomputing them on every call.
     """
-    phase = phase_integral(params, t, dt, u.mesh.centers) + dt * gamma * u.abs2()
+    points = u.mesh.centers if table is None else table
+    phase = phase_integral(params, t, dt, points) + dt * gamma * u.abs2()
     return Field(u.mesh, u.values * np.exp(-1j * phase))
 
 
 class KineticFlow:
     """Cayley flow (I - i tau/(4m) A_T)^(-1) (I + i tau/(4m) A_T).
 
-    The slot-mode factorization (layout.SlotFFTSolver) is done once per
-    (operator, tau, m) and reused across steps; every solve is checked
-    against the residual contract on the assembled sparse matrix.
+    With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
+    a step is one solve M x = u and returns 2x - u. The slot-mode
+    factorization (layout.SlotFFTSolver) is done once per (operator, tau, m)
+    and reused across steps; every solve is checked against the residual
+    contract on the assembled sparse M.
     """
 
     def __init__(self, op: LaplacianOperator, tau: float, m: float):
@@ -77,15 +84,14 @@ class KineticFlow:
         z = 1j * tau / (4.0 * m)
         eye = sp.identity(n, format="csr", dtype=np.complex128)
         self._minus = (eye - z * op.A_T).tocsr()
-        self._plus = (eye + z * op.A_T).tocsr()
         self._solver = SlotFFTSolver(op, 1.0, -z)
 
     def apply(self, u: Field) -> Field:
         if u.mesh is not self.op.mesh:
             raise ValueError("field mesh does not match operator mesh")
-        rhs = self._plus @ u.values.astype(np.complex128, copy=False)
-        x = checked_solve(self._solver.solve, self._minus, rhs, "kinetic solve")
-        return Field(self.op.mesh, x)
+        v = u.values.astype(np.complex128, copy=False)
+        x = checked_solve(self._solver.solve, self._minus, v, "kinetic solve")
+        return Field(self.op.mesh, 2.0 * x - v)
 
 
 def flow_kinetic(u: Field, tau: float, m: float, op: LaplacianOperator) -> Field:
@@ -135,6 +141,7 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
     n_steps = config.n_steps
     stride = config.snapshot_stride
     kinetic = KineticFlow(op, tau, m)
+    table = phase_table(params, mesh.centers)
 
     times, masses, energies, errs = [], [], [], []
     snapshots: list[Field] = []
@@ -154,7 +161,7 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
 
     emit(0, Field(mesh, u0.values.astype(np.complex128)))
 
-    psi = flow_potential(u0, 0.0, 0.5 * tau, params, gamma)
+    psi = flow_potential(u0, 0.0, 0.5 * tau, params, gamma, table)
     for j in range(1, n_steps + 1):
         try:
             psi = kinetic.apply(psi)
@@ -167,10 +174,10 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
         t_half = (j - 0.5) * tau
         if j < n_steps:
             if stride and j % stride == 0:
-                emit(j, flow_potential(psi, t_half, 0.5 * tau, params, gamma))
-            psi = flow_potential(psi, t_half, tau, params, gamma)
+                emit(j, flow_potential(psi, t_half, 0.5 * tau, params, gamma, table))
+            psi = flow_potential(psi, t_half, tau, params, gamma, table)
         else:
-            psi = flow_potential(psi, t_half, 0.5 * tau, params, gamma)
+            psi = flow_potential(psi, t_half, 0.5 * tau, params, gamma, table)
 
     emit(n_steps, psi)
     return EvolveResult(

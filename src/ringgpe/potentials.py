@@ -4,11 +4,15 @@ The static trap is a Gaussian well along the circle r = 1; the stirrer
 modulates it with an angular harmonic rotating at angular rate omega. The
 split-step scheme never samples the stirrer pointwise in time: it uses the
 exact time integral over a step (phase_integral), which keeps the potential
-half-flow exact for any step size.
+half-flow exact for any step size. None of trap, trap cos(n theta) and
+trap sin(n theta) depends on t, so a PhaseTable holds them for fixed points
+and phase_integral combines them with four scalar cosines and sines of
+omega t by angle addition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +57,8 @@ def eval_trap(params: PotentialParams, points) -> np.ndarray:
 
 def eval_rotating(params: PotentialParams, t: float, points) -> np.ndarray:
     """Stirring term V_p V_pot(r) sin(n_theta theta - omega t)."""
-    r, theta = _radius_angle(points)
-    trap = -params.V0 * np.exp(-2.0 * params.m * (r - 1.0) ** 2)
+    _, theta = _radius_angle(points)
+    trap = eval_trap(params, points)
     return params.V_p * trap * np.sin(params.n_theta * theta - params.omega * t)
 
 
@@ -63,24 +67,52 @@ def eval_total(params: PotentialParams, t: float, points) -> np.ndarray:
     return eval_trap(params, points) + eval_rotating(params, t, points)
 
 
-def phase_integral(params: PotentialParams, t: float, dt: float, points) -> np.ndarray:
-    """Exact integral_0^dt V(t + s, x) ds.
+@dataclass(frozen=True)
+class PhaseTable:
+    """The time-independent factors of phase_integral at fixed points."""
 
-    The trap contributes V_pot dt. For |omega| > 1e-12 the stirrer integrates
-    to V_p V_pot [cos(n th - omega (t+dt)) - cos(n th - omega t)] / omega;
-    below that threshold it is static and contributes V_p V_pot sin(n th) dt.
+    params: PotentialParams
+    trap: np.ndarray  # V_pot(r)
+    trap_cos: np.ndarray  # V_pot(r) cos(n_theta theta)
+    trap_sin: np.ndarray  # V_pot(r) sin(n_theta theta)
+
+
+def phase_table(params: PotentialParams, points) -> PhaseTable:
+    """Tabulate trap, trap cos(n theta) and trap sin(n theta) at points."""
+    _, theta = _radius_angle(points)
+    trap = eval_trap(params, points)
+    phase = params.n_theta * theta
+    return PhaseTable(params, trap, trap * np.cos(phase), trap * np.sin(phase))
+
+
+def phase_integral(params: PotentialParams, t: float, dt: float,
+                   points: PhaseTable | np.ndarray) -> np.ndarray:
+    """Exact integral_0^dt V(t + s, x) ds at raw points or a phase_table.
+
+    The trap contributes V_pot dt. For |omega| > OMEGA_STATIC_TOL the
+    stirrer integrates to V_p V_pot [cos(n th - omega (t+dt)) - cos(n th -
+    omega t)] / omega, which angle addition turns into
+    (V_p / omega) [(cos omega (t+dt) - cos omega t) V_pot cos(n th)
+    + (sin omega (t+dt) - sin omega t) V_pot sin(n th)]; below that
+    threshold it is static and contributes V_p V_pot sin(n th) dt. A table
+    must have been built from params.
     """
-    r, theta = _radius_angle(points)
-    trap = -params.V0 * np.exp(-2.0 * params.m * (r - 1.0) ** 2)
-    out = trap * dt
+    if isinstance(points, PhaseTable):
+        table = points
+        if table.params != params:
+            raise ValueError("phase table was built for other potential parameters")
+    else:
+        table = phase_table(params, points)
+    out = table.trap * dt
     if params.V_p != 0.0:
-        phase = params.n_theta * theta
-        if abs(params.omega) > OMEGA_STATIC_TOL:
-            rot = (np.cos(phase - params.omega * (t + dt))
-                   - np.cos(phase - params.omega * t)) / params.omega
+        w = params.omega
+        if abs(w) > OMEGA_STATIC_TOL:
+            c = params.V_p / w * (math.cos(w * (t + dt)) - math.cos(w * t))
+            s = params.V_p / w * (math.sin(w * (t + dt)) - math.sin(w * t))
+            out += c * table.trap_cos
+            out += s * table.trap_sin
         else:
-            rot = np.sin(phase) * dt
-        out = out + params.V_p * trap * rot
+            out += params.V_p * dt * table.trap_sin
     return out
 
 

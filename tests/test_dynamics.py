@@ -1,9 +1,12 @@
+import functools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ringgpe import dynamics
 from ringgpe.dynamics import (
     EvolveResult,
     KineticFlow,
@@ -229,6 +232,53 @@ class TestEvolve:
         r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA,
                    SplitStepConfig(tau=tau, t_max=tau))
         assert np.abs(one.values - r.final.values).max() < 1e-13
+
+
+class TestSpanContract:
+    # The benchmark's per-layer spans wrap these names where evolve looks
+    # them up; a step that stops calling one of them would read as free.
+    GLOBALS = ("flow_potential", "phase_integral", "energy", "total_field", "norm")
+
+    @pytest.mark.parametrize("n_steps,stride,reference", [
+        (10, 3, True), (9, 3, False), (4, 0, True), (1, 1, False)])
+    def test_exact_call_counts(self, tiny, tiny_gs, monkeypatch,
+                               n_steps, stride, reference):
+        mesh, op = tiny
+        calls = Counter()
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in self.GLOBALS:
+            counting(dynamics, name)
+        counting(KineticFlow, "__init__")
+        counting(KineticFlow, "apply")
+        tau = 1e-3
+        cfg = SplitStepConfig(tau=tau, t_max=n_steps * tau, snapshot_stride=stride)
+        r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA, cfg,
+                   reference=tiny_gs if reference else None, keep_snapshots=False)
+        # Emissions at step 0, every stride-th step before the last, and the last.
+        inner = (n_steps - 1) // stride if stride else 0
+        emissions = 2 + inner
+        assert r.times.size == emissions
+        # One leading half-flow, n_steps - 1 fused full flows, one trailing
+        # half-flow, and a half-flow onto a copy at every inner emission.
+        flows = n_steps + 1 + inner
+        assert calls == Counter({
+            "__init__": 1,
+            "apply": n_steps,
+            "flow_potential": flows,
+            "phase_integral": flows,
+            "energy": emissions,
+            "total_field": emissions,
+            "norm": emissions * (2 if reference else 1),
+        })
 
 
 class TestOrder:

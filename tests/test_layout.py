@@ -157,12 +157,16 @@ class TestLayout:
 class TestDifferential:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_kinetic_flow_matches_splu(self, mesh, bc):
+        # The reference applies the Cayley quotient as written, one product
+        # with I + z A_T and one sparse LU solve with I - z A_T.
         op = assemble_laplacian(mesh, bc)
-        flow = KineticFlow(op, 6e-3, M_EFF)
-        lu = splu(flow._minus.tocsc())
+        tau = 6e-3
+        z = 1j * tau / (4.0 * M_EFF)
+        eye = sp.identity(mesh.n_triangles, format="csc", dtype=np.complex128)
+        lu = splu((eye - z * op.A_T).tocsc())
         u = Field(mesh, random_complex(mesh, 3))
-        expect = lu.solve(flow._plus @ u.values)
-        assert rel(flow.apply(u).values, expect) <= 1e-12
+        expect = lu.solve((eye + z * op.A_T) @ u.values)
+        assert rel(KineticFlow(op, tau, M_EFF).apply(u).values, expect) <= 1e-12
 
     def test_gradient_flow_step_matches_splu(self, desk_op, desk_trap,
                                              desk_ground_state):

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ringgpe.config import preset_config
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import (
+    OMEGA_STATIC_TOL,
     PotentialParams,
     eval_rotating,
     eval_total,
     eval_trap,
     phase_integral,
+    phase_table,
     total_field,
     trap_field,
 )
@@ -109,6 +114,61 @@ class TestPhaseIntegral:
         pts = np.array([[1.3, -0.1], [0.61, 0.0]])
         got = phase_integral(p, 0.9, 0.02, pts)
         assert np.allclose(got, eval_trap(p, pts) * 0.02, rtol=1e-14)
+
+
+def direct_phase_integral(params, t, dt, points):
+    """The closed form evaluated point by point, one cosine pair per point."""
+    theta = np.arctan2(points[:, 1], points[:, 0])
+    trap = eval_trap(params, points)
+    out = trap * dt
+    if params.V_p != 0.0:
+        phase = params.n_theta * theta
+        if abs(params.omega) > OMEGA_STATIC_TOL:
+            rot = (np.cos(phase - params.omega * (t + dt))
+                   - np.cos(phase - params.omega * t)) / params.omega
+        else:
+            rot = np.sin(phase) * dt
+        out = out + params.V_p * trap * rot
+    return out
+
+
+PAPER62 = preset_config("paper62")
+TABLE_CASES = {
+    "rotating": PAPER62.potential,
+    "negative-omega": dataclasses.replace(PAPER62.potential,
+                                          omega=-PAPER62.potential.omega),
+    "below-static-tol": dataclasses.replace(PAPER62.potential,
+                                            omega=0.5 * OMEGA_STATIC_TOL),
+    "no-stirrer": dataclasses.replace(PAPER62.potential, V_p=0.0),
+    "no-trap": dataclasses.replace(PAPER62.potential, V0=0.0),
+}
+
+
+@pytest.fixture(scope="module")
+def paper62_centers():
+    return build_ring_mesh(PAPER62.mesh).centers
+
+
+class TestPhaseTable:
+    # The table form combines cos/sin of omega t by angle addition; the
+    # direct closed form is the reference, over the paper62 run's time span.
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_matches_direct_closed_form(self, paper62_centers, case):
+        params = TABLE_CASES[case]
+        table = phase_table(params, paper62_centers)
+        tau = PAPER62.split.tau
+        for t in np.linspace(0.0, PAPER62.split.t_max, 25):
+            for dt in (tau, 0.5 * tau):
+                want = direct_phase_integral(params, t, dt, paper62_centers)
+                from_table = phase_integral(params, t, dt, table)
+                from_points = phase_integral(params, t, dt, paper62_centers)
+                assert np.abs(from_table - want).max() <= 1e-14
+                assert np.array_equal(from_points, from_table)
+
+    def test_table_is_tied_to_its_parameters(self, paper62_centers):
+        table = phase_table(TABLE_CASES["rotating"], paper62_centers)
+        with pytest.raises(ValueError, match="other potential parameters"):
+            phase_integral(TABLE_CASES["negative-omega"], 0.0, 1e-3, table)
 
 
 class TestFieldHelpers:
