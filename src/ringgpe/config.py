@@ -36,6 +36,8 @@ __all__ = [
 
 INITIAL_GROUND_STATE = "ground-state"
 INITIAL_UNSTABLE = "unstable"
+# The time-convergence study takes about 2^(time_k_max + 2) steps.
+TIME_K_MAX_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,10 @@ def _at_least(bound: int) -> Callable[[int], str | None]:
     return lambda v: None if v >= bound else f"must be at least {bound}"
 
 
+def _int_range(lo: int, hi: int) -> Callable[[int], str | None]:
+    return lambda v: None if lo <= v <= hi else f"must lie in [{lo}, {hi}], got {v}"
+
+
 def _unit_range(v) -> str | None:
     return None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"
 
@@ -196,7 +202,8 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
                         check=_all_positive),
         "space_beta_max": _Key("space_beta_max", _to_int, default=3, check=_at_least(1)),
         "time_k_min": _Key("time_k_min", _to_int, default=5, check=_at_least(2)),
-        "time_k_max": _Key("time_k_max", _to_int, default=10, check=_at_least(2)),
+        "time_k_max": _Key("time_k_max", _to_int, default=10,
+                           check=_int_range(2, TIME_K_MAX_LIMIT)),
         "time_t_max": _Key("time_t_max", _to_float, default=0.1, check=_positive),
     },
     "output": {

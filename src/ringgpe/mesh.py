@@ -21,6 +21,9 @@ import scipy.sparse as sp
 # N_p grows like 2*pi*sqrt(2) * N_c / (1 - r_min/r_max); the sqrt(2) keeps
 # the apex angle of every triangle below pi/2.
 POINT_COUNT_FACTOR = 2.0 * math.pi * math.sqrt(2.0)
+# Largest mesh build_ring_mesh accepts (paper62 has 39 852 triangles); the
+# count is checked before any per-circle array is allocated.
+MAX_TRIANGLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -169,13 +172,20 @@ def _circumcenters(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _circles(params: MeshParams) -> tuple[np.ndarray, int]:
     """Radii of the mesh circles and the point count N_p per circle."""
-    n_c, n_p = derive_mesh_counts(params.h, params.r_min, params.r_max)
+    try:
+        n_c, n_p = derive_mesh_counts(params.h, params.r_min, params.r_max)
+    except OverflowError:
+        raise ValueError(f"h = {params.h!r} gives no finite mesh counts") from None
     if params.n_circles is not None:
         n_c = int(params.n_circles)
     if params.n_points is not None:
         n_p = int(params.n_points)
     if n_c < 2 or n_p < 3:
         raise ValueError("mesh counts too small")
+    n_triangles = 2 * (n_c - 1 + params.match_paper_counts) * n_p
+    if n_triangles > MAX_TRIANGLES:
+        raise ValueError(f"mesh of {n_triangles} triangles exceeds the limit of "
+                         f"{MAX_TRIANGLES}")
     if not params.match_paper_counts:
         return compute_radii(n_c, params.r_min, params.r_max), n_p
     # Published variant: N_c increments f(k/N_c), k = 1 .. N_c, spanning

@@ -8,28 +8,34 @@ Two spectral paths over the ring r_min < r < r_max:
   f_a(x) = J_a(r_min x) Y_a(r_max x) - J_a(r_max x) Y_a(r_min x);
 * finite-difference path: the radial Sturm-Liouville operator
   H = -(1/2m)(d_rr + d_r / r - ell^2 / r^2) - V0 exp(-2m(r-1)^2)
-  on a uniform grid, giving the radial profiles used to build the mode
-  basis Phi_{p,ell} = phi_p(r) exp(i ell theta) on the triangulation.
+  on a uniform grid, giving the radial profiles of the mode basis
+  Phi_{p,ell} = phi_p(r) exp(i ell theta) on the triangulation.
 
-Snapshots are decomposed against the basis with the complex volume pairing,
-keeping the phase information a real-part pairing would destroy.
+The mesh is invariant under rotation by 2 pi / N_p, so the basis keeps one
+radial sample per (band, kind) circle, and decompose takes the complex
+volume pairing <u, Phi_{p,ell}>_T of every mode from one FFT over slots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jv, yv
 
 from .errors import NumericalError
-from .fv import Field, complex_pairing, norm
+from .fv import Field, norm
+from .layout import slot_defect, slot_view
 from .mesh import RingMesh
 
 ROOT_XTOL = 1e-12
 RESIDUAL_TOL = 1e-8
+# Largest radius spread and angle defect of one (band, kind) circle that
+# mode_basis accepts; built meshes sit near 1e-13.
+SLOT_GEOMETRY_TOL = 1e-10
 
 
 def bessel_j(order: int, x) -> np.ndarray:
@@ -218,11 +224,13 @@ def radial_modes(ell: int, P: int, n: int,
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Normalized mesh samples of phi_p(r) exp(i ell theta).
+    """Modes phi_p(r) exp(i ell theta), normalized in L2(T), kept per (band, kind).
 
-    fields[p][ell + L] is the mode (p, ell); eigenvalues follows the same
-    layout. Radial profiles are linearly interpolated from the grid of
-    resolution n onto the circumcenter radii, then normalized in L2(T).
+    Each (band, kind) has its circumcenters on one circle, at the angles
+    theta0 + 2 pi slot / N_p. radial[p, |ell|] holds the profile, linearly
+    interpolated from the grid of resolution n onto those radii and divided
+    by its L2(T) norm. field(p, ell) samples a mode on demand, and fields
+    lazily yields rows p of field(p, ell) for ell = -L .. L.
     """
 
     mesh: RingMesh
@@ -230,14 +238,24 @@ class ModeBasis:
     L: int
     n: int
     eigenvalues: np.ndarray
-    fields: list[list[Field]]
+    radial: np.ndarray
+    theta0: np.ndarray
 
     @property
     def n_modes(self) -> int:
         return (self.P + 1) * (2 * self.L + 1)
 
+    @property
+    def fields(self):
+        return ((self.field(p, ell) for ell in range(-self.L, self.L + 1))
+                for p in range(self.P + 1))
+
     def field(self, p: int, ell: int) -> Field:
-        return self.fields[p][ell + self.L]
+        # exp(i ell theta) = exp(i ell theta0) exp(2 pi i (ell slot mod N_p) / N_p)
+        n_p = self.mesh.n_points
+        slot_phase = np.exp(2j * np.pi / n_p * (ell * np.arange(n_p) % n_p))
+        row = self.radial[p, abs(ell)] * np.exp(1j * ell * self.theta0)
+        return Field(self.mesh, (row[:, None, :] * slot_phase[:, None]).ravel())
 
     def eigenvalue(self, p: int, ell: int) -> float:
         return float(self.eigenvalues[p, ell + self.L])
@@ -248,38 +266,48 @@ def mode_basis(mesh: RingMesh, P: int, L: int, n: int,
     """Build the (P+1) x (2L+1) mode family on a mesh.
 
     Radial problems share the interval of the mesh; profiles for -ell reuse
-    the ell computation since the operator depends on ell^2 only.
+    the ell computation since the operator depends on ell^2 only. Raises
+    ValueError unless the circumcenters of each (band, kind) form one
+    uniformly spaced circle to within SLOT_GEOMETRY_TOL.
     """
     problem = RadialProblem(mesh.params.r_min, mesh.params.r_max, m, V0)
-    grid = problem.grid(n)
-    r = np.hypot(mesh.centers[:, 0], mesh.centers[:, 1])
-    theta = np.arctan2(mesh.centers[:, 1], mesh.centers[:, 0])
+    x, y = slot_view(mesh, mesh.centers[:, 0]), slot_view(mesh, mesh.centers[:, 1])
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    theta0 = theta[:, 0]
+    # Angle about the uniform spacing, plus pi so the wrap stays away from it.
+    drift = (theta - theta0[:, None] + np.pi
+             - 2 * np.pi / mesh.n_points * np.arange(mesh.n_points)[:, None]) % (2 * np.pi)
+    defects = slot_defect(mesh, r), slot_defect(mesh, drift)
+    if not max(defects) <= SLOT_GEOMETRY_TOL:
+        raise ValueError("circumcenters of a (band, kind) are not one uniformly spaced "
+                         "circle: radius spread {:.3e}, angle defect {:.3e}".format(*defects))
+    areas = slot_view(mesh, mesh.areas).sum(axis=1)
 
     eigenvalues = np.zeros((P + 1, 2 * L + 1))
-    columns: dict[int, list[Field]] = {}
-    for ell_abs in range(L + 1):
-        lam, vecs = radial_modes(ell_abs, P, n, problem)
-        samples = [np.interp(r, grid, vecs[p]) for p in range(P + 1)]
-        for ell in ({ell_abs, -ell_abs} if ell_abs else {0}):
-            phase = np.exp(1j * ell * theta)
-            col = []
-            for p in range(P + 1):
-                u = Field(mesh, samples[p] * phase)
-                col.append(Field(mesh, u.values / norm(u)))
-                eigenvalues[p, ell + L] = lam[p]
-            columns[ell] = col
-
-    fields = [[columns[ell][p] for ell in range(-L, L + 1)] for p in range(P + 1)]
-    return ModeBasis(mesh=mesh, P=P, L=L, n=n,
-                     eigenvalues=eigenvalues, fields=fields)
+    radial = np.zeros((P + 1, L + 1) + theta0.shape)
+    for ell in range(L + 1):
+        lam, vecs = radial_modes(ell, P, n, problem)
+        eigenvalues[:, L - ell] = eigenvalues[:, L + ell] = lam
+        radial[:, ell] = [np.interp(r[:, 0], problem.grid(n), v) for v in vecs]
+    norms = np.sqrt(np.einsum("plbk,bk->pl", radial * radial, areas))
+    if not np.all(norms > 0.0):
+        raise ValueError("a radial profile vanishes at every circumcenter")
+    radial /= norms[:, :, None, None]
+    return ModeBasis(mesh=mesh, P=P, L=L, n=n, eigenvalues=eigenvalues,
+                     radial=radial, theta0=theta0)
 
 
 def decompose(u: Field, basis: ModeBasis) -> np.ndarray:
-    """Complex coefficient grid c[p, ell + L] = <u, Phi_{p, ell}>_T."""
-    if u.mesh is not basis.mesh:
+    """Complex coefficient grid c[p, ell + L] = <u, Phi_{p, ell}>_T.
+
+    Bin ell mod N_p of one FFT over slots of areas * u is each (band, kind)
+    circle's angular sum, up to the phase exp(-i ell theta0).
+    """
+    mesh = u.mesh
+    if mesh is not basis.mesh:
         raise ValueError("field mesh does not match basis mesh")
-    c = np.zeros((basis.P + 1, 2 * basis.L + 1), dtype=np.complex128)
-    for p in range(basis.P + 1):
-        for j, phi in enumerate(basis.fields[p]):
-            c[p, j] = complex_pairing(u, phi)
-    return c
+    ells = np.arange(-basis.L, basis.L + 1)
+    spectrum = scipy.fft.fft(slot_view(mesh, u.values * mesh.areas), axis=1)
+    angular = spectrum[:, ells % mesh.n_points].transpose(1, 0, 2) \
+        * np.exp(-1j * ells[:, None, None] * basis.theta0)
+    return np.einsum("pjbk,jbk->pj", basis.radial[:, np.abs(ells)], angular)

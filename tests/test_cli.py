@@ -96,6 +96,14 @@ class TestConfigErrors:
         assert "config error" in err and "max angle 2.418662" in err
         assert not (tmp_path / "o").exists()
 
+    def test_tiny_h_is_refused_before_the_mesh_is_built(self, tmp_path, capsys):
+        bad = tmp_path / "tiny_h.ini"
+        bad.write_text("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 1e-9\n")
+        assert cli.main(["mesh", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "triangles exceeds the limit of 10000000" in err
+        assert not (tmp_path / "o").exists()
+
     def test_threads_must_be_positive(self, tiny_path):
         assert cli.main(["mesh", "--config", tiny_path, "--threads", "0"]) == 2
 

@@ -2,18 +2,26 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringgpe.config import (
     PRESET_NAMES,
+    TIME_K_MAX_LIMIT,
     parse_config,
     preset_config,
     preset_text,
     serialize_config,
 )
 from ringgpe.errors import ConfigError
-from ringgpe.mesh import POINT_COUNT_FACTOR, MeshParams, build_ring_mesh, verify_admissibility
+from ringgpe.mesh import (
+    MAX_TRIANGLES,
+    POINT_COUNT_FACTOR,
+    MeshParams,
+    build_ring_mesh,
+    derive_mesh_counts,
+    verify_admissibility,
+)
 
 MINIMAL = """
 [mesh]
@@ -94,6 +102,11 @@ BAD_CONFIGS = [
     ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 0.06\nn_points = 40\n",
      "line 1: [mesh]: mesh triangles are not acute: max angle 2.418662"),
     ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 1.0\n", "[mesh]: mesh counts too small"),
+    ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 1e-9\n",
+     "triangles exceeds the limit of 10000000"),
+    ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 5e-324\n", "gives no finite mesh counts"),
+    (MINIMAL + "[harness]\ntime_k_max = 21\n",
+     "line 7: [harness] time_k_max must lie in [2, 20], got 21"),
 ]
 
 # Mesh parameters over MINIMAL's, acute and not, in both radius families.
@@ -167,15 +180,22 @@ def valid_config_texts(draw):
     n_circles = draw(st.integers(2, 100 if keep_points else h_circles))
     min_points = math.ceil(POINT_COUNT_FACTOR * (n_circles if keep_circles else h_circles)
                            / (1.0 - r_min / r_max))
+    mesh = {
+        "r_min": r_min,
+        "r_max": r_max,
+        "h": (r_max - r_min) / (h_circles - 0.5),
+        "n_circles": n_circles,
+        "n_points": draw(st.integers(min_points, min_points + 10_000)),
+        "match_paper_counts": draw(st.booleans()),
+    }
+    # A mesh above MAX_TRIANGLES does not parse either (a thin ring needs
+    # many points per circle).
+    n_c, n_p = derive_mesh_counts(mesh["h"], r_min, r_max)
+    n_c = n_circles if keep_circles else n_c
+    n_p = mesh["n_points"] if keep_points else n_p
+    assume(2 * (n_c - 1 + mesh["match_paper_counts"]) * n_p <= MAX_TRIANGLES)
     sections = {
-        "mesh": {
-            "r_min": r_min,
-            "r_max": r_max,
-            "h": (r_max - r_min) / (h_circles - 0.5),
-            "n_circles": n_circles,
-            "n_points": draw(st.integers(min_points, min_points + 10_000)),
-            "match_paper_counts": draw(st.booleans()),
-        },
+        "mesh": mesh,
         "physics": {
             "bc": draw(st.sampled_from(["dirichlet", "neumann"])),
             "m": draw(_POSITIVE),
@@ -212,7 +232,7 @@ def valid_config_texts(draw):
             "space_h": tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=5))),
             "space_beta_max": draw(st.integers(1, 10)),
             "time_k_min": k_min,
-            "time_k_max": draw(st.integers(k_min, 30)),
+            "time_k_max": draw(st.integers(k_min, TIME_K_MAX_LIMIT)),
             "time_t_max": draw(_POSITIVE),
         },
         "output": {

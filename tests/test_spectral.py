@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringgpe import spectral
 from ringgpe.fv import Field, assemble_laplacian, complex_pairing, norm, normalize
 from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation
 from ringgpe.spectral import (
@@ -309,3 +314,113 @@ class TestDecompose:
         off = np.abs(np.delete(c, L, axis=1))
         assert off.max() < 1e-4
         assert np.abs(c[:, L]).max() > 0.1
+
+
+def stored_basis_oracle(mesh, P, L, n):
+    """The stored-basis construction decompose replaced: every mode sampled
+    per triangle (radial interpolation times exp(i ell theta)) and
+    normalized on the mesh. Returns eigenvalues and fields[p][ell + L]."""
+    problem = RadialProblem(mesh.params.r_min, mesh.params.r_max, M_EFF, V0)
+    grid = problem.grid(n)
+    r = np.hypot(mesh.centers[:, 0], mesh.centers[:, 1])
+    theta = np.arctan2(mesh.centers[:, 1], mesh.centers[:, 0])
+    eigenvalues = np.zeros((P + 1, 2 * L + 1))
+    fields = [[None] * (2 * L + 1) for _ in range(P + 1)]
+    for ell_abs in range(L + 1):
+        lam, vecs = radial_modes(ell_abs, P, n, problem)
+        for ell in {ell_abs, -ell_abs}:
+            for p in range(P + 1):
+                u = Field(mesh, np.interp(r, grid, vecs[p]) * np.exp(1j * ell * theta))
+                fields[p][ell + L] = Field(mesh, u.values / norm(u))
+                eigenvalues[p, ell + L] = lam[p]
+    return eigenvalues, fields
+
+
+def assert_matches_oracle(mesh, P, L, n, states):
+    basis = mode_basis(mesh, P, L, n, M_EFF, V0)
+    eigenvalues, fields = stored_basis_oracle(mesh, P, L, n)
+    assert np.array_equal(basis.eigenvalues, eigenvalues)
+    for u in states:
+        want = np.array([[complex_pairing(u, phi) for phi in row] for row in fields])
+        assert np.abs(decompose(u, basis) - want).max() <= 1e-12 * np.abs(want).max()
+    for p in range(P + 1):
+        for ell in range(-L, L + 1):
+            got = basis.field(p, ell).values
+            assert np.abs(got - fields[p][ell + L].values).max() <= 1e-11
+
+
+def random_state(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return Field(mesh, rng.standard_normal(mesh.n_triangles)
+                 + 1j * rng.standard_normal(mesh.n_triangles))
+
+
+class TestAgainstStoredBasis:
+    def test_desk_mesh(self, desk_mesh, desk_ground_state):
+        # L = 120 passes N_p / 2 = 109, where ell and ell - N_p share an FFT bin.
+        assert_matches_oracle(desk_mesh, 1, 120, 300,
+                              [desk_ground_state.field, random_state(desk_mesh, 3)])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n_points=st.integers(3, 63), n_circles=st.integers(2, 6),
+           match_paper_counts=st.booleans(), P=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_meshes(self, n_points, n_circles, match_paper_counts, P, seed, data):
+        mesh = build_ring_mesh(MeshParams(r_min=R_MIN, r_max=R_MAX, h=0.1,
+                                          n_circles=n_circles, n_points=n_points,
+                                          match_paper_counts=match_paper_counts))
+        L = data.draw(st.integers(0, 2 * n_points), label="L")
+        n = data.draw(st.integers(P + 2, 120), label="n")
+        r = np.hypot(mesh.centers[:, 0], mesh.centers[:, 1])
+        if not np.any((R_MIN < r) & (r < R_MAX)):
+            # Obtuse triangles of a coarse ring have their circumcenters
+            # off the ring, where every radial profile is zero.
+            with pytest.raises(ValueError, match="vanishes"):
+                mode_basis(mesh, P, L, n, M_EFF, V0)
+            return
+        assert_matches_oracle(mesh, P, L, n, [random_state(mesh, seed)])
+
+
+class TestSlotGeometryGuard:
+    @staticmethod
+    def perturbed(mesh, scale=1.0, angle=0.0):
+        # Moves the circumcenter of (band 3, slot 5, kind 1) off its circle.
+        k = 2 * (3 * mesh.n_points + 5) + 1
+        cos, sin = np.cos(angle), np.sin(angle)
+        centers = mesh.centers.copy()
+        centers[k] = scale * np.array([[cos, -sin], [sin, cos]]) @ centers[k]
+        return dataclasses.replace(mesh, centers=centers)
+
+    def test_desk_mesh_accepted(self, desk_mesh):
+        mode_basis(desk_mesh, P=0, L=1, n=60, m=M_EFF, V0=V0)
+
+    def test_radius_defect_rejected(self, desk_mesh):
+        mesh = self.perturbed(desk_mesh, scale=1.0 + 1e-8)
+        with pytest.raises(ValueError, match=r"radius spread [1-9]\.\d{3}e-09"):
+            mode_basis(mesh, P=0, L=1, n=60, m=M_EFF, V0=V0)
+
+    def test_angle_defect_rejected(self, desk_mesh):
+        mesh = self.perturbed(desk_mesh, angle=1e-8)
+        with pytest.raises(ValueError, match=r"angle defect 1\.000e-08"):
+            mode_basis(mesh, P=0, L=1, n=60, m=M_EFF, V0=V0)
+
+
+class TestStorageContract:
+    def test_spans_storage_and_lazy_fields(self, desk_mesh, monkeypatch):
+        calls = []
+
+        def counting(ell, *args):
+            calls.append(ell)
+            return radial_modes(ell, *args)
+
+        monkeypatch.setattr(spectral, "radial_modes", counting)
+        basis = spectral.mode_basis(desk_mesh, P=2, L=6, n=300, m=M_EFF, V0=V0)
+        assert calls == list(range(7))
+        arrays = [getattr(basis, f.name) for f in dataclasses.fields(basis)
+                  if isinstance(getattr(basis, f.name), np.ndarray)]
+        assert sum(a.size for a in arrays) < desk_mesh.n_triangles
+        assert all(desk_mesh.n_triangles not in a.shape for a in arrays)
+        first, second = ([[f.values for f in row] for row in basis.fields] for _ in range(2))
+        assert len(first) == 3 and all(len(row) == 13 for row in first)
+        assert all(np.array_equal(a, b) for ra, rb in zip(first, second)
+                   for a, b in zip(ra, rb))
