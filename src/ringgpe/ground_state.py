@@ -116,17 +116,22 @@ def gradient_flow_step(u: Field, trap: Field, op: LaplacianOperator,
     Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n and returns
     W / ||W||. The linearization freezes the density at the current iterate.
     While the diagonal 2V + 2 gamma |U^n|^2 is slot-invariant (it is when V
-    and U^n are) the solve is the slot-FFT one; otherwise the matrix gets a
-    sparse LU.
+    and U^n are) the solve is the slot-FFT one; otherwise, or when the
+    slot-FFT factorization refuses a pivot of an indefinite system, the
+    matrix gets a sparse LU.
     """
     n = u.mesh.n_triangles
     diag = kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
     mat = (sp.identity(n, format="csr")
            - (kappa / m) * op.A_T
            + sp.diags(diag)).tocsc()
+    solve = None
     if slot_defect(u.mesh, diag) <= SLOT_INVARIANCE_TOL:
-        solve = SlotFFTSolver(op, 1.0 + diag, -kappa / m).solve
-    else:
+        try:
+            solve = SlotFFTSolver(op, 1.0 + diag, -kappa / m).solve
+        except NumericalError:
+            pass  # a pivot too small for the unpivoted factorization
+    if solve is None:
         lu = splu(mat)
 
         def solve(b):

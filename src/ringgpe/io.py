@@ -54,33 +54,36 @@ def format_float(x: float) -> str:
     return _FLOAT_FORMAT % float(x)
 
 
-# Cell text by dtype kind; a column of any other kind is refused.
-_RENDER = {
-    "b": lambda v: "true" if v else "false",
-    "i": str,
-    "u": str,
-    "f": _FLOAT_FORMAT.__mod__,
-    "U": str,
-}
+# Conversion of a cell by dtype kind; a column of any other kind is refused.
+# Booleans are turned into text first.
+_CONVERSION = {"b": "%s", "i": "%d", "u": "%d", "f": _FLOAT_FORMAT, "U": "%s"}
 
 
 def _lines(columns: Iterable, sep: str = ",") -> Iterator[str]:
-    """Check the columns; return the text of their rows, one block at a time."""
+    """Check the columns; return the text of their rows, one block at a time.
+
+    A block is one %-format of the row template repeated once per row, over
+    the block's cells flattened in row order.
+    """
     columns = [np.asarray(c) for c in columns]
     for c in columns:
-        if c.ndim != 1 or c.dtype.kind not in _RENDER:
+        if c.ndim != 1 or c.dtype.kind not in _CONVERSION:
             raise TypeError(f"unsupported column of {c.dtype} with shape {c.shape}")
         if c.dtype.kind == "U" and any(map(_NEEDS_QUOTING.search, c.tolist())):
             raise ValueError("text cells must not hold a comma, a quote or a line break")
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns differ in length")
+    columns = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in columns]
+    row = sep.join(_CONVERSION[c.dtype.kind] for c in columns) + "\n"
 
     def blocks():
         for start in range(0, n_rows, _BLOCK_ROWS):
-            cells = [map(_RENDER[c.dtype.kind], c[start:start + _BLOCK_ROWS].tolist())
-                     for c in columns]
-            yield "".join([sep.join(row) + "\n" for row in zip(*cells)])
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            cells = [None] * (len(columns) * (stop - start))
+            for i, c in enumerate(columns):
+                cells[i::len(columns)] = c[start:stop].tolist()
+            yield row * (stop - start) % tuple(cells)
 
     return blocks()
 

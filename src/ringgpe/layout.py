@@ -10,9 +10,9 @@ mode, each coupling the 2*n_bands (band, kind) unknowns of that mode.
 Kind 0 couples only to kind 1 of its own band and of the band above, kind 1
 only to kind 0 of its own band and of the band below. Ordering the unknowns
 of a mode as 2*band + (1 - kind) therefore makes every mode's system
-tridiagonal, and stacking the modes end to end gives one tridiagonal system
-with zero couplings at the mode boundaries, factored by a single LAPACK
-?gttrf call.
+tridiagonal. After an FFT along the slot axis, row j of every mode is the
+slot axis of one (band, kind), so SlotFFTSolver eliminates all modes at
+once, row by row, without moving the data out of that layout.
 
 The same rotation maps the triangle adjacency graph onto itself, so a set
 of triangles found around slot 0 serves every slot once shifted along the
@@ -26,13 +26,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .mesh import RingMesh
 
 if TYPE_CHECKING:
     from .fv import LaplacianOperator
+
+# Smallest pivot, relative to the 1-norm of its row, that the unpivoted
+# slot-mode factorization accepts. A smaller one would amplify round-off by
+# more than 1/PIVOT_TOL in one elimination step, beyond what the single
+# refinement step of ground_state.checked_solve is meant to absorb.
+PIVOT_TOL = 1e-8
 
 
 def slot_view(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
@@ -87,8 +92,25 @@ class SlotFFTSolver:
     """Solve (diag(shift) + scale A_T) x = b by FFT over slots.
 
     shift is a scalar or a per-triangle array that must be slot-invariant
-    (only its slot mean is factored). The factorization is one ?gttrf over
-    all modes of op.slot_symbol; each solve is FFT -> ?gttrs -> inverse FFT.
+    (only its slot mean is factored). The factorization is an LU without
+    pivoting of every mode's tridiagonal system from op.slot_symbol, done
+    for all modes at once row by row. A solve never leaves the
+    (band, slot, kind) layout: after an FFT along the slot axis, row
+    j = 2*band + (1 - kind) of all modes is the slot axis of one (band,
+    kind), so the forward and back sweeps run over the 2*n_bands rows as
+    in-place operations on N_p values each, and an inverse FFT follows.
+
+    The Cayley matrix I - z A_T, z = i tau/(4m), needs no pivoting. A_T is
+    self-adjoint for the area-weighted inner product, so with the areas as a
+    diagonal similarity the matrix has Hermitian part exactly I; so does each
+    mode's system (the FFT is unitary and the areas are slot-invariant), and
+    every Schur complement of a matrix with Hermitian part >= I has one too.
+    The pivots, which a diagonal similarity leaves unchanged, are the 1x1
+    Schur complements, so Re p >= 1. Other systems, such as an indefinite
+    gradient-flow step, may meet a small pivot: the factorization raises
+    NumericalError when a pivot is not finite or falls below PIVOT_TOL of
+    its row's 1-norm, and the caller factors the matrix another way.
+
     The assembled matrix departs from exact slot invariance by round-off, so
     callers refine against it (ground_state.checked_solve). The result is
     real when shift, scale and b are.
@@ -99,28 +121,47 @@ class SlotFFTSolver:
         self.mesh = mesh
         self._real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
         shift = np.broadcast_to(shift, (mesh.n_triangles,))
-        # Slot mean per (band, kind), in mode order j = 2*band + 1 - kind.
+        # Slot mean per (band, kind), in row order j = 2*band + 1 - kind.
         mean_shift = slot_view(mesh, shift).mean(axis=1)[:, ::-1].ravel()
-        diags = scale * op.slot_symbol
-        diags[1] += mean_shift
-        # Mode boundaries fall where the lower and upper diagonals are zero
-        # already: nothing lies below band 0 or above the last band.
-        gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"),
-                                                     dtype=np.complex128)
-        *self._lu, info = gttrf(diags[0].ravel()[1:], diags[1].ravel(),
-                                diags[2].ravel()[:-1])
-        if info != 0:
-            raise NumericalError(f"singular slot-mode system (gttrf info {info})")
+        # Rows j, modes along the second axis. Row 0 has no lower and the
+        # last row no upper neighbour: nothing lies below band 0 or above
+        # the last band.
+        lower, diag, upper = np.ascontiguousarray((scale * op.slot_symbol).transpose(0, 2, 1))
+        diag += mean_shift[:, None]
+        mult = np.zeros_like(diag)
+        pivot = diag.copy()
+        # A refused pivot may divide by zero on the way; all are checked after.
+        with np.errstate(all="ignore"):
+            for j in range(1, len(pivot)):
+                np.divide(lower[j], pivot[j - 1], out=mult[j])
+                pivot[j] -= mult[j] * upper[j - 1]
+            row_norm = np.abs(lower) + np.abs(diag) + np.abs(upper)
+            bad = ~(np.abs(pivot) >= PIVOT_TOL * row_norm) | ~np.isfinite(pivot)
+        if bad.any():
+            j, q = np.argwhere(bad)[0]  # the first row that fails, then its first mode
+            raise NumericalError(
+                f"slot mode {q}: pivot {pivot[j, q]:.3e} in row {j} (band {j // 2}, "
+                f"kind {1 - j % 2}) is below PIVOT_TOL of its row or not finite")
+        inv_pivot = 1.0 / pivot
+        self._mult = mult
+        self._upper = upper * inv_pivot  # the back sweep's upper diagonal of D^-1 U
+        # In the (band, slot, kind) layout of the transformed right-hand side.
+        self._inv_pivot = inv_pivot.reshape(mesh.n_bands, 2, -1)[:, ::-1].transpose(0, 2, 1).copy()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # (band, slot, kind) -> (slot mode, band, 1 - kind) and back.
         mesh = self.mesh
-        bh = scipy.fft.fft(slot_view(mesh, b).transpose(1, 0, 2)[:, :, ::-1], axis=0)
-        xh, info = self._gttrs(*self._lu, bh.reshape(-1, 1))
-        if info != 0:
-            raise NumericalError(f"slot-mode solve failed (gttrs info {info})")
-        x = scipy.fft.ifft(xh.reshape(mesh.n_points, mesh.n_bands, 2), axis=0)
-        x = x[:, :, ::-1].transpose(1, 0, 2).reshape(-1)
+        xh = scipy.fft.fft(slot_view(mesh, b), axis=1)
+        rows = [xh[j // 2, :, 1 - j % 2] for j in range(2 * mesh.n_bands)]
+        tmp = np.empty(mesh.n_points, dtype=xh.dtype)
+        mult, upper = self._mult, self._upper
+        for j in range(1, len(rows)):  # L y = b
+            np.multiply(mult[j], rows[j - 1], out=tmp)
+            np.subtract(rows[j], tmp, out=rows[j])
+        xh *= self._inv_pivot  # then D^-1 U x = D^-1 y
+        for j in range(len(rows) - 2, -1, -1):
+            np.multiply(upper[j], rows[j + 1], out=tmp)
+            np.subtract(rows[j], tmp, out=rows[j])
+        x = scipy.fft.ifft(xh, axis=1, overwrite_x=True).reshape(-1)
         if self._real and not np.iscomplexobj(b):
             return x.real.copy()
         return x

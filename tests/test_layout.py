@@ -1,14 +1,17 @@
-"""Slot-FFT solver: layout, symbol, differential tests against splu, the
-gradient-flow dispatch, and unitarity of the Cayley flow it drives."""
+"""Slot-FFT solver: layout, symbol, differential tests against the stacked
+LAPACK solver and splu, the pivot guard, the gradient-flow dispatch, and
+unitarity of the Cayley flow it drives."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from ringgpe import dynamics, ground_state
+from ringgpe import dynamics, ground_state, layout
+from ringgpe.errors import NumericalError
 from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, make_unstable_state
 from ringgpe.fv import Field, assemble_laplacian, norm, normalize
 from ringgpe.ground_state import (
@@ -69,6 +72,49 @@ def splu_gradient_flow_step(u, trap, op, m, gamma, kappa):
 
 def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class StackedGttrsSolver:
+    """The slot-FFT solve through LAPACK: the reference for the in-place sweep.
+
+    The modes are stacked end to end as one tridiagonal system (zero
+    couplings at the mode boundaries), factored by one ?gttrf with partial
+    pivoting; a solve copies b into (slot mode, band, 1 - kind) order, takes
+    the FFT, calls ?gttrs, and undoes both.
+    """
+
+    def __init__(self, op, shift, scale):
+        mesh = self.mesh = op.mesh
+        self.real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
+        shift = np.broadcast_to(shift, (mesh.n_triangles,))
+        mean_shift = slot_view(mesh, shift).mean(axis=1)[:, ::-1].ravel()
+        diags = scale * op.slot_symbol
+        diags[1] += mean_shift
+        gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"),
+                                                    dtype=np.complex128)
+        *self.lu, info = gttrf(diags[0].ravel()[1:], diags[1].ravel(),
+                               diags[2].ravel()[:-1])
+        assert info == 0
+
+    def solve(self, b):
+        mesh = self.mesh
+        bh = np.fft.fft(slot_view(mesh, b).transpose(1, 0, 2)[:, :, ::-1], axis=0)
+        xh, info = self.gttrs(*self.lu, bh.reshape(-1, 1))
+        assert info == 0
+        x = np.fft.ifft(xh.reshape(mesh.n_points, mesh.n_bands, 2), axis=0)
+        x = x[:, :, ::-1].transpose(1, 0, 2).reshape(-1)
+        return x.real.copy() if self.real and not np.iscomplexobj(b) else x
+
+
+def solver_cases(mesh):
+    """(shift, scale) pairs: real, complex scale (the Cayley matrix) and
+    complex shift and scale, with slot-invariant per-triangle shifts."""
+    r2 = mesh.centers[:, 0] ** 2 + mesh.centers[:, 1] ** 2
+    return {
+        "real": (1.0 + 0.5 * r2, -0.01),
+        "cayley": (1.0, -1j * 6e-3 / (4.0 * M_EFF)),
+        "complex": ((1.0 + 0.5j) * r2, -0.01 + 0.02j),
+    }
 
 
 class TestLayout:
@@ -154,6 +200,53 @@ class TestLayout:
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 
 
+class TestSweep:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("case", ["real", "cayley", "complex"])
+    @pytest.mark.parametrize("rhs", ["real", "complex"])
+    def test_matches_stacked_gttrs(self, mesh, bc, case, rhs):
+        # Unrefined: both solvers factor the same slot-mean symbol.
+        op = assemble_laplacian(mesh, bc)
+        shift, scale = solver_cases(mesh)[case]
+        b = random_complex(mesh, 5)
+        if rhs == "real":
+            b = b.real.copy()
+        got = SlotFFTSolver(op, shift, scale).solve(b)
+        want = StackedGttrsSolver(op, shift, scale).solve(b)
+        real = case == "real" and rhs == "real"
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert rel(got, want) <= 1e-13
+
+    def test_solve_leaves_rhs_unchanged(self, mesh):
+        op = assemble_laplacian(mesh, "dirichlet")
+        b = random_complex(mesh, 6)
+        kept = b.copy()
+        SlotFFTSolver(op, *solver_cases(mesh)["cayley"]).solve(b)
+        assert np.array_equal(b, kept)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_zero_pivot_refused(self, mesh, bc):
+        # Row 0 (band 0, kind 1) couples only to kind 0 of band 0, so its
+        # diagonal symbol is the same in every mode: a shift cancelling it
+        # makes the first pivot of every mode zero.
+        op = assemble_laplacian(mesh, bc)
+        sym = op.slot_symbol
+        assert np.all(sym[1, :, 0] == sym[1, 0, 0])
+        scale = -0.01
+        with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 \(band 0, kind 1\)"):
+            SlotFFTSolver(op, -scale * sym[1, 0, 0].real, scale)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(tau=st.floats(1e-6, 1.0), m=st.floats(1e-2, 100.0),
+           bc=st.sampled_from(["dirichlet", "neumann"]))
+    def test_cayley_pivots_have_real_part_at_least_one(self, small, tau, m, bc):
+        # I - z A_T with z = i tau/(4m) has Hermitian part I in the
+        # area-weighted inner product; so has every Schur complement, and
+        # the pivots are the 1x1 ones.
+        solver = SlotFFTSolver(small[bc], 1.0, -1j * tau / (4.0 * m))
+        assert (1.0 / solver._inv_pivot).real.min() >= 1.0 - 1e-12
+
+
 class TestDifferential:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_kinetic_flow_matches_splu(self, mesh, bc):
@@ -210,6 +303,27 @@ class TestDispatch:
         got = gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
         assert calls == [(mesh.n_triangles, mesh.n_triangles)]
         want = splu_gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
+        assert np.array_equal(got.values, want.values)
+
+
+    def test_refused_factorization_takes_splu(self, desk_op, desk_trap, desk_ground_state,
+                                              monkeypatch):
+        # A slot-invariant step whose slot-mode factorization is refused
+        # (every pivot counts as small here) is solved by the sparse LU.
+        calls = []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return splu(mat)
+
+        monkeypatch.setattr(layout, "PIVOT_TOL", 2.0)
+        monkeypatch.setattr(ground_state, "splu", counting)
+        u = desk_ground_state.field
+        with pytest.raises(NumericalError, match="PIVOT_TOL"):
+            SlotFFTSolver(desk_op, 1.0, -1e-3)
+        got = gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
+        assert len(calls) == 1
+        want = splu_gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
         assert np.array_equal(got.values, want.values)
 
 
