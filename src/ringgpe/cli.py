@@ -37,16 +37,6 @@ _COMMANDS = {
     "pipeline": "full run: mesh, ground state, evolution, vortices, modes",
 }
 
-_STAGES = {
-    "mesh": ("mesh",),
-    "ground-state": ("ground-state",),
-    "evolve": ("evolve",),
-    "vortices": ("vortices",),
-    "modes": ("modes",),
-    "pipeline": None,  # all stages
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringgpe",
@@ -111,7 +101,8 @@ def main(argv=None) -> int:
             for k, tau, m_phi in result.rows:
                 print(f"k {k} (tau {tau:.3e}): m_phi {m_phi:.4f}")
         else:
-            result = run_pipeline(config, out_dir, stages=_STAGES[args.command])
+            stages = None if args.command == "pipeline" else (args.command,)
+            result = run_pipeline(config, out_dir, stages=stages)
             if result.ground_state is not None:
                 gs = result.ground_state
                 print(f"ground state: energy {gs.energy:.6f} after "

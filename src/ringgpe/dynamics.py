@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
@@ -70,8 +69,8 @@ class KineticFlow:
     With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
     a step is one solve M x = u and returns 2x - u. The slot-mode
     factorization (layout.SlotFFTSolver) is done once per (operator, tau, m)
-    and reused across steps; every solve is checked against the residual
-    contract on the assembled sparse M.
+    and reused across steps; every solve is refined and checked against the
+    residual contract on M = op.shifted(1, -z).
     """
 
     def __init__(self, op: LaplacianOperator, tau: float, m: float):
@@ -80,10 +79,8 @@ class KineticFlow:
         self.op = op
         self.tau = tau
         self.m = m
-        n = op.mesh.n_triangles
         z = 1j * tau / (4.0 * m)
-        eye = sp.identity(n, format="csr", dtype=np.complex128)
-        self._minus = (eye - z * op.A_T).tocsr()
+        self._minus = op.shifted(1.0, -z)
         self._solver = SlotFFTSolver(op, 1.0, -z)
 
     def apply(self, u: Field) -> Field:

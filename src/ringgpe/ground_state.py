@@ -12,23 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, inner_product, norm, normalize
-from .layout import SlotFFTSolver, slot_defect
+from .layout import SlotFFTSolver
 
 # Relative residual contract for every inner linear solve.
 SOLVER_RESIDUAL_TOL = 1e-10
 
-# Largest spread of the gradient-flow diagonal across slots for which the
-# slot-FFT solve is used. It factors the slot mean of the diagonal, and the
-# refinement step in checked_solve squares the relative error that leaves (the
-# matrix is identity plus a positive part): a spread of 1e-8 solves to ~1e-16.
-# A round-off-level test would refuse the ~1e-13 slot defect that refinement
-# itself leaves in U and send those steps to splu.
-SLOT_INVARIANCE_TOL = 1e-8
+# Smallest gradient-flow step size: below it the flow cannot lower the energy.
+KAPPA_MIN = 1e-14
 
 
 def checked_solve(solve, mat, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -55,7 +49,6 @@ class GradientFlowConfig:
     kappa0: float = 1e-2
     epsilon: float = 5e-3
     max_iters: int = 50000
-    kappa_min: float = 1e-14
 
     def __post_init__(self):
         if self.kappa0 <= 0.0 or self.epsilon <= 0.0:
@@ -115,24 +108,17 @@ def gradient_flow_step(u: Field, trap: Field, op: LaplacianOperator,
 
     Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n and returns
     W / ||W||. The linearization freezes the density at the current iterate.
-    While the diagonal 2V + 2 gamma |U^n|^2 is slot-invariant (it is when V
-    and U^n are) the solve is the slot-FFT one; otherwise, or when the
-    slot-FFT factorization refuses a pivot of an indefinite system, the
-    matrix gets a sparse LU.
+    The matrix is op.shifted(1 + 2 kappa (V + gamma |U^n|^2), -kappa/m) and
+    the solve the slot-FFT one. When the solver refuses it (the diagonal is
+    not slot-invariant, as for a non-invariant U^n, or an indefinite system
+    meets a small pivot) the matrix gets a sparse LU instead.
     """
-    n = u.mesh.n_triangles
-    diag = kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
-    mat = (sp.identity(n, format="csr")
-           - (kappa / m) * op.A_T
-           + sp.diags(diag)).tocsc()
-    solve = None
-    if slot_defect(u.mesh, diag) <= SLOT_INVARIANCE_TOL:
-        try:
-            solve = SlotFFTSolver(op, 1.0 + diag, -kappa / m).solve
-        except NumericalError:
-            pass  # a pivot too small for the unpivoted factorization
-    if solve is None:
-        lu = splu(mat)
+    shift = 1.0 + kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
+    mat = op.shifted(shift, -kappa / m)
+    try:
+        solve = SlotFFTSolver(op, shift, -kappa / m).solve
+    except NumericalError:  # shift not slot-invariant, or a pivot too small
+        lu = splu(mat.tocsc())
 
         def solve(b):
             # Real factorization; complex right-hand sides split into two solves.
@@ -150,9 +136,8 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
     """Run the normalized gradient flow to the stopping residual.
 
     Starts from the normalized constant field unless u0 is given. Raises
-    NumericalError if kappa underflows config.kappa_min (the flow can no
-    longer decrease the energy); returns converged=False if max_iters runs
-    out first.
+    NumericalError if kappa underflows KAPPA_MIN; returns converged=False if
+    max_iters runs out first.
     """
     mesh = op.mesh
     if trap.mesh is not mesh or (u0 is not None and u0.mesh is not mesh):
@@ -182,7 +167,7 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
         else:
             rejections += 1
             kappa *= 0.5
-            if kappa < config.kappa_min:
+            if kappa < KAPPA_MIN:
                 raise NumericalError(
                     f"gradient-flow step size underflow (kappa={kappa:.3e}) "
                     f"at iteration {iterations}, residual {res:.3e}")

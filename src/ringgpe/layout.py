@@ -39,6 +39,13 @@ if TYPE_CHECKING:
 # refinement step of ground_state.checked_solve is meant to absorb.
 PIVOT_TOL = 1e-8
 
+# Largest departure of a shift from its slot mean that SlotFFTSolver accepts.
+# Only the mean is factored; the refinement step in checked_solve squares the
+# relative error that leaves (for identity plus a positive part), so 1e-8
+# solves to ~1e-16. A round-off level test would refuse the ~1e-13 slot defect
+# refinement itself leaves in a gradient-flow iterate and send it to splu.
+SLOT_INVARIANCE_TOL = 1e-8
+
 
 def slot_view(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
     """values per triangle as an (n_bands, N_p, 2) array (a view when possible)."""
@@ -91,14 +98,15 @@ def slot_symbol(mesh: RingMesh, mat: sp.spmatrix) -> np.ndarray:
 class SlotFFTSolver:
     """Solve (diag(shift) + scale A_T) x = b by FFT over slots.
 
-    shift is a scalar or a per-triangle array that must be slot-invariant
-    (only its slot mean is factored). The factorization is an LU without
-    pivoting of every mode's tridiagonal system from op.slot_symbol, done
-    for all modes at once row by row. A solve never leaves the
-    (band, slot, kind) layout: after an FFT along the slot axis, row
-    j = 2*band + (1 - kind) of all modes is the slot axis of one (band,
-    kind), so the forward and back sweeps run over the 2*n_bands rows as
-    in-place operations on N_p values each, and an inverse FFT follows.
+    shift is a scalar or a per-triangle array; only its slot mean is
+    factored, so a shift off that mean by more than SLOT_INVARIANCE_TOL
+    raises NumericalError. The factorization is an LU without pivoting of
+    every mode's tridiagonal system from op.slot_symbol, done for all modes
+    at once row by row. A solve never leaves the (band, slot, kind) layout:
+    after an FFT along the slot axis, row j = 2*band + (1 - kind) of all
+    modes is the slot axis of one (band, kind), so the forward and back
+    sweeps run over the 2*n_bands rows as in-place operations on N_p values
+    each, and an inverse FFT follows.
 
     The Cayley matrix I - z A_T, z = i tau/(4m), needs no pivoting. A_T is
     self-adjoint for the area-weighted inner product, so with the areas as a
@@ -109,7 +117,7 @@ class SlotFFTSolver:
     Schur complements, so Re p >= 1. Other systems, such as an indefinite
     gradient-flow step, may meet a small pivot: the factorization raises
     NumericalError when a pivot is not finite or falls below PIVOT_TOL of
-    its row's 1-norm, and the caller factors the matrix another way.
+    its row's 1-norm. On either refusal the caller factors another way.
 
     The assembled matrix departs from exact slot invariance by round-off, so
     callers refine against it (ground_state.checked_solve). The result is
@@ -120,14 +128,17 @@ class SlotFFTSolver:
         mesh = op.mesh
         self.mesh = mesh
         self._real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
-        shift = np.broadcast_to(shift, (mesh.n_triangles,))
-        # Slot mean per (band, kind), in row order j = 2*band + 1 - kind.
-        mean_shift = slot_view(mesh, shift).mean(axis=1)[:, ::-1].ravel()
+        shift = slot_view(mesh, np.broadcast_to(shift, (mesh.n_triangles,)))
+        mean_shift = shift.mean(axis=1)  # per (band, kind)
+        defect = np.abs(shift - mean_shift[:, None]).max()
+        if not defect <= SLOT_INVARIANCE_TOL:
+            raise NumericalError(
+                f"shift departs from its slot mean by {defect:.3e}, above SLOT_INVARIANCE_TOL")
         # Rows j, modes along the second axis. Row 0 has no lower and the
         # last row no upper neighbour: nothing lies below band 0 or above
         # the last band.
         lower, diag, upper = np.ascontiguousarray((scale * op.slot_symbol).transpose(0, 2, 1))
-        diag += mean_shift[:, None]
+        diag += mean_shift[:, ::-1].reshape(-1, 1)  # in row order j = 2*band + 1 - kind
         mult = np.zeros_like(diag)
         pivot = diag.copy()
         # A refused pivot may divide by zero on the way; all are checked after.

@@ -24,6 +24,8 @@ POINT_COUNT_FACTOR = 2.0 * math.pi * math.sqrt(2.0)
 # Largest mesh build_ring_mesh accepts (paper62 has 39 852 triangles); the
 # count is checked before any per-circle array is allocated.
 MAX_TRIANGLES = 10_000_000
+# Largest |cos| of an edge and its circumcenter segment deemed orthogonal.
+ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,7 @@ class RingMesh:
     edge_d: np.ndarray
     edge_mid: np.ndarray
     edge_normal: np.ndarray
-    adj_indptr: np.ndarray
-    adj_indices: np.ndarray
+    adjacency: sp.csr_matrix
 
     @property
     def n_triangles(self) -> int:
@@ -309,7 +310,7 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
     edge_normal[bnd] = nrm
     edge_d[bnd] = np.einsum("ij,ij->i", nrm, toward)
 
-    # Vertex-sharing adjacency as a CSR graph (used by shell queries).
+    # Vertex-sharing adjacency as a CSR graph (shells, vorticity components).
     inc = sp.csr_matrix(
         (np.ones(3 * n_tri, dtype=np.int8), (np.repeat(tri_idx, 3), triangles.ravel())),
         shape=(n_tri, n_circ * n_p),
@@ -337,8 +338,7 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
         edge_d=edge_d,
         edge_mid=edge_mid,
         edge_normal=edge_normal,
-        adj_indptr=graph.indptr,
-        adj_indices=graph.indices,
+        adjacency=graph,
     )
 
 
@@ -351,6 +351,7 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
     """
     if not 0 <= center < mesh.n_triangles:
         raise ValueError("center triangle out of range")
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
     visited = np.zeros(mesh.n_triangles, dtype=bool)
     visited[center] = True
     shells = [np.array([center], dtype=np.int64)]
@@ -359,9 +360,7 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
         if frontier.size == 0:
             shells.append(np.empty(0, dtype=np.int64))
             continue
-        cand = np.unique(np.concatenate(
-            [mesh.adj_indices[mesh.adj_indptr[t]:mesh.adj_indptr[t + 1]] for t in frontier]
-        ))
+        cand = np.unique(np.concatenate([indices[indptr[t]:indptr[t + 1]] for t in frontier]))
         nxt = cand[~visited[cand]]
         visited[nxt] = True
         shells.append(nxt)
@@ -388,7 +387,7 @@ class AdmissibilityReport:
     is_admissible: bool
 
 
-def verify_admissibility(mesh: RingMesh, orth_tol: float = 1e-10) -> AdmissibilityReport:
+def verify_admissibility(mesh: RingMesh) -> AdmissibilityReport:
     """Check the properties the two-point flux scheme relies on.
 
     All triangle angles acute, circumcenters strictly interior (margin is the
@@ -417,7 +416,7 @@ def verify_admissibility(mesh: RingMesh, orth_tol: float = 1e-10) -> Admissibili
 
     min_d = float(mesh.edge_d.min())
     ok = (max_angle < math.pi / 2.0 and margin > 0.0
-          and defect < orth_tol and min_d > 0.0)
+          and defect < ORTHOGONALITY_TOL and min_d > 0.0)
     return AdmissibilityReport(
         max_angle=max_angle,
         max_orthogonality_defect=defect,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
@@ -227,11 +226,7 @@ def detect_by_vorticity(omega: Field, threshold: float,
     mask = np.flatnonzero(np.abs(w) > threshold)
     if mask.size == 0:
         return []
-    adj = sp.csr_matrix(
-        (np.ones(mesh.adj_indices.size, dtype=np.int8),
-         mesh.adj_indices, mesh.adj_indptr),
-        shape=(mesh.n_triangles, mesh.n_triangles))
-    sub = adj[mask][:, mask]
+    sub = mesh.adjacency[mask][:, mask]
     n_comp, labels = connected_components(sub, directed=False)
 
     records = []

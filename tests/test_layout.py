@@ -1,6 +1,10 @@
-"""Slot-FFT solver: layout, symbol, differential tests against the stacked
-LAPACK solver and splu, the pivot guard, the gradient-flow dispatch, and
-unitarity of the Cayley flow it drives."""
+"""Slot-FFT solver: layout, symbol, the shifted-operator builder, differential
+tests against the stacked LAPACK solver and splu, the slot-invariance and
+pivot guards, the gradient-flow dispatch, and unitarity of the Cayley flow
+it drives."""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +45,19 @@ def mesh(request):
     return build_ring_mesh(MESHES[request.param])
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices ground_state factors with splu, in call order."""
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return splu(mat)
+
+    monkeypatch.setattr(ground_state, "splu", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small():
     mesh = build_ring_mesh(MESHES["odd"])
@@ -54,11 +71,8 @@ def random_complex(mesh, seed):
 
 def splu_gradient_flow_step(u, trap, op, m, gamma, kappa):
     """The gradient-flow step with a fresh sparse LU: the reference path."""
-    n = u.mesh.n_triangles
     diag = kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
-    mat = (sp.identity(n, format="csr")
-           - (kappa / m) * op.A_T
-           + sp.diags(diag)).tocsc()
+    mat = (sp.diags(1.0 + diag) - (kappa / m) * op.A_T).tocsc()
     lu = splu(mat)
 
     def solve(b):
@@ -200,6 +214,36 @@ class TestLayout:
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 
 
+class TestShifted:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_cayley_matrix_is_identity_minus_z_operator(self, mesh, bc):
+        op = assemble_laplacian(mesh, bc)
+        z = 1j * 6e-3 / (4.0 * M_EFF)
+        want = (sp.identity(mesh.n_triangles, format="csr", dtype=np.complex128)
+                - z * op.A_T).tocsr()
+        got = op.shifted(1.0, -z)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("case", ["real", "cayley", "complex", "complex shift"])
+    def test_matches_diags_plus_scaled_operator(self, mesh, bc, case):
+        op = assemble_laplacian(mesh, bc)
+        cases = solver_cases(mesh)
+        cases["complex shift"] = (cases["complex"][0], cases["real"][1])
+        shift, scale = cases[case]
+        kept = op.A_T.data.copy()
+        got = op.shifted(shift, scale)
+        want = (sp.diags(np.broadcast_to(shift, (mesh.n_triangles,)))
+                + scale * op.A_T).tocsr()
+        assert got.format == "csr" and got.dtype == want.dtype
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert np.array_equal(got.indices, op.A_T.indices)
+        assert np.array_equal(got.indptr, op.A_T.indptr)
+        assert np.array_equal(op.A_T.data, kept)
+
+
 class TestSweep:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("case", ["real", "cayley", "complex"])
@@ -235,6 +279,23 @@ class TestSweep:
         scale = -0.01
         with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 \(band 0, kind 1\)"):
             SlotFFTSolver(op, -scale * sym[1, 0, 0].real, scale)
+
+    @pytest.mark.parametrize("case", ["real", "complex"])
+    def test_shift_off_slot_mean_refused(self, mesh, case):
+        # Only the slot mean of shift is factored, so the solver refuses a
+        # shift that departs from it; the measure holds for complex shifts.
+        op = assemble_laplacian(mesh, "dirichlet")
+        shift, scale = solver_cases(mesh)[case]
+        bump = 1e-6 if case == "real" else 1e-6 * (1.0 - 1.0j)
+        off = shift.copy()
+        off[7] += bump
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SlotFFTSolver(op, shift, scale)
+            with pytest.raises(NumericalError, match="above SLOT_INVARIANCE_TOL") as err:
+                SlotFFTSolver(op, off, scale)
+        defect = float(re.search(r"slot mean by (\S+),", str(err.value)).group(1))
+        assert defect == pytest.approx(abs(bump) * (1.0 - 1.0 / mesh.n_points), rel=1e-3)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(tau=st.floats(1e-6, 1.0), m=st.floats(1e-2, 100.0),
@@ -288,41 +349,59 @@ class TestDispatch:
                      SplitStepConfig(tau=6e-4, t_max=3e-3), keep_snapshots=False)
         assert abs(out.mass[-1] - out.mass[0]) < 1e-13
 
-    def test_non_invariant_input_takes_splu(self, small, monkeypatch):
+    def test_non_invariant_input_takes_splu(self, small, splu_calls):
         op = small["dirichlet"]
         mesh = op.mesh
         trap = trap_field(STATIC, mesh)
         u = normalize(Field(mesh, np.random.default_rng(4).standard_normal(mesh.n_triangles)))
-        calls = []
-
-        def counting(mat):
-            calls.append(mat.shape)
-            return splu(mat)
-
-        monkeypatch.setattr(ground_state, "splu", counting)
         got = gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
-        assert calls == [(mesh.n_triangles, mesh.n_triangles)]
+        assert splu_calls == [(mesh.n_triangles, mesh.n_triangles)]
         want = splu_gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
         assert np.array_equal(got.values, want.values)
 
+    def test_large_first_step_converges_through_splu(self, small, splu_calls):
+        # With kappa0 = 1 the flow backs off to kappa = 1/128, where the
+        # round-off slot defect of the iterate doubles with every accepted
+        # step; once the shift departs from its slot mean by more than
+        # SLOT_INVARIANCE_TOL, the solver refuses it and splu takes over.
+        op = small["dirichlet"]
+        res = compute_ground_state(trap_field(STATIC, op.mesh), op, M_EFF, GAMMA,
+                                   GradientFlowConfig(kappa0=1.0, epsilon=5e-3))
+        assert res.converged
+        assert splu_calls
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_indefinite_step_takes_splu(self, small, bc, splu_calls):
+        # A negative constant trap whose shift cancels row 0's diagonal to
+        # 1e-12 (see test_zero_pivot_refused) makes every mode's first pivot
+        # nearly vanish, so the slot-mode factorization is refused without
+        # touching PIVOT_TOL; the sparse LU pivots and solves the step. (An
+        # exact cancellation would let scipy's sparse sum in the reference
+        # drop the zero diagonal entries and reorder its LU.)
+        op = small[bc]
+        mesh = op.mesh
+        kappa = 1e-2
+        cancel = (kappa / M_EFF) * op.slot_symbol[1, 0, 0].real * (1.0 + 1e-12)
+        trap_value = (cancel - 1.0) / (2.0 * kappa)
+        trap = Field.constant(mesh, trap_value)
+        u = normalize(Field.constant(mesh, 1.0))
+        with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 "):
+            SlotFFTSolver(op, 1.0 + kappa * 2.0 * trap_value, -kappa / M_EFF)
+        got = gradient_flow_step(u, trap, op, M_EFF, 0.0, kappa)
+        assert splu_calls == [(mesh.n_triangles, mesh.n_triangles)]
+        want = splu_gradient_flow_step(u, trap, op, M_EFF, 0.0, kappa)
+        assert np.array_equal(got.values, want.values)
 
     def test_refused_factorization_takes_splu(self, desk_op, desk_trap, desk_ground_state,
-                                              monkeypatch):
+                                              splu_calls, monkeypatch):
         # A slot-invariant step whose slot-mode factorization is refused
         # (every pivot counts as small here) is solved by the sparse LU.
-        calls = []
-
-        def counting(mat):
-            calls.append(mat.shape)
-            return splu(mat)
-
         monkeypatch.setattr(layout, "PIVOT_TOL", 2.0)
-        monkeypatch.setattr(ground_state, "splu", counting)
         u = desk_ground_state.field
         with pytest.raises(NumericalError, match="PIVOT_TOL"):
             SlotFFTSolver(desk_op, 1.0, -1e-3)
         got = gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
-        assert len(calls) == 1
+        assert len(splu_calls) == 1
         want = splu_gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
         assert np.array_equal(got.values, want.values)
 

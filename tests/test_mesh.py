@@ -249,7 +249,7 @@ class TestShells:
 
     def test_first_shell_size_range(self, small_mesh):
         # Interior triangles see 12 vertex-neighbors, boundary ones fewer.
-        sizes = np.diff(small_mesh.adj_indptr)
+        sizes = np.diff(small_mesh.adjacency.indptr)
         assert sizes.max() == 12
         assert sizes.min() >= 7
         interior_tri = int(np.argmin(
