@@ -24,8 +24,9 @@ _EXPORTS = {
         "trap_field",
     ),
     "ground_state": (
-        "GradientFlowConfig", "GroundStateResult", "compute_ground_state",
-        "energy", "energy_gradient", "gradient_flow_step", "residual_criterion",
+        "GradientFlowConfig", "GroundStateResult", "SlotInvariantProblem",
+        "compute_ground_state", "energy", "energy_gradient", "gradient_flow_step",
+        "residual_criterion",
     ),
     "dynamics": (
         "EvolveResult", "KineticFlow", "SplitStepConfig", "evolve",

@@ -3,6 +3,8 @@
 Heavy imports happen inside main() after --threads is applied: the BLAS
 thread-pool environment variables only take effect if they are set before
 numpy loads, so this module must import nothing numerical at top level.
+The command then runs under scipy.fft.set_workers of the same count, which
+the environment variables do not reach.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -50,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory (overrides the configured one)")
     common.add_argument("--threads", type=int, metavar="N",
-                        help="cap BLAS/OpenMP thread pools at N")
+                        help="cap BLAS/OpenMP thread pools and scipy.fft workers at N")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
@@ -70,8 +72,15 @@ def main(argv=None) -> int:
             return _fail(2, "--threads must be a positive integer")
         for name in _THREAD_VARS:
             os.environ[name] = str(args.threads)
+        import scipy.fft
 
-    from .config import parse_config, preset_config, serialize_config
+        with scipy.fft.set_workers(args.threads):
+            return _run(args)
+    return _run(args)
+
+
+def _run(args) -> int:
+    from .config import parse_config, preset_config
     from .errors import ConfigError, NumericalError
     from .harness import run_pipeline, run_space_convergence, run_time_convergence
 
@@ -109,8 +118,10 @@ def main(argv=None) -> int:
                       f"{gs.iterations} iterations (residual {gs.residual:.3e})")
             if result.evolution is not None:
                 ev = result.evolution
+                n_p = result.mesh.n_points
                 print(f"evolved to t = {ev.times[-1]:g}: mass {ev.mass[-1]:.12f}, "
-                      f"energy {ev.energy[-1]:.6f}")
+                      f"energy {ev.energy[-1]:.6f} "
+                      f"(sector k={ev.fold}, {n_p // ev.fold} of {n_p} slots)")
             for method, records in result.vortices.items():
                 charges = ", ".join(str(r.index_or_sign) for r in records) or "none"
                 print(f"{method}: {len(records)} detection(s) [{charges}]")

@@ -15,10 +15,18 @@ so a step solves M x = u and needs no product with I + z A_T. Because B
 preserves moduli, the trailing half-B of one step and the leading half-B of
 the next fuse into a single full B, which the evolution loop exploits; the
 trailing half is applied to a copy whenever a snapshot is due.
+
+Both flows commute with every rotation that maps the mesh and the potential
+onto themselves. evolve therefore runs on the rotation sector that the
+initial state and the stirrer share (layout.sector): with k the largest
+divisor of gcd(n_theta, N_p) (of N_p for a static potential) for which u0
+repeats exactly every N_p/k slots, it steps only the first N_p/k slots and
+tiles them for every emission. With k = 1 the sector is the whole mesh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
 from .ground_state import checked_solve, energy
-from .layout import SlotFFTSolver
+from .layout import SlotFFTSolver, invariant_fold, sector, tile
 from .potentials import PhaseTable, PotentialParams, phase_integral, phase_table, total_field
 
 
@@ -50,17 +58,26 @@ class SplitStepConfig:
         return j
 
 
-def flow_potential(u: Field, t: float, dt: float, params: PotentialParams,
-                   gamma: float, table: PhaseTable | None = None) -> Field:
+def flow_potential(u: Field | np.ndarray, t: float, dt: float, params: PotentialParams,
+                   gamma: float, table: PhaseTable | None = None) -> Field | np.ndarray:
     """Exact phase flow of the potential + nonlinear part over [t, t+dt].
 
     w -> exp(-i [integral_t^{t+dt} V ds + dt gamma |w|^2]) w; the modulus of
-    every entry is preserved exactly. table, a phase_table of params at the
-    mesh's circumcenters, saves recomputing them on every call.
+    every entry is preserved exactly. u is a Field, or an array of values at
+    the points table was built at; the result is of the same kind. table, a
+    phase_table of params, saves recomputing the potential's factors on
+    every call; without it a Field's circumcenters are used.
     """
-    points = u.mesh.centers if table is None else table
-    phase = phase_integral(params, t, dt, points) + dt * gamma * u.abs2()
-    return Field(u.mesh, u.values * np.exp(-1j * phase))
+    if isinstance(u, Field):
+        values = u.values
+        points = u.mesh.centers if table is None else table
+    elif table is None:
+        raise ValueError("an array needs the phase table of its points")
+    else:
+        values, points = u, table
+    phase = phase_integral(params, t, dt, points) + dt * gamma * (values.real**2 + values.imag**2)
+    out = values * np.exp(-1j * phase)
+    return Field(u.mesh, out) if isinstance(u, Field) else out
 
 
 class KineticFlow:
@@ -68,27 +85,39 @@ class KineticFlow:
 
     With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
     a step is one solve M x = u and returns 2x - u. The slot-mode
-    factorization (layout.SlotFFTSolver) is done once per (operator, tau, m)
-    and reused across steps; every solve is refined and checked against the
-    residual contract on M = op.shifted(1, -z).
+    factorization (layout.SlotFFTSolver) is done once per (operator, tau, m,
+    fold) and reused across steps; every solve is refined and checked
+    against the residual contract on M = op.shifted(1, -z, fold).
+
+    With fold k > 1 the flow acts on the sector arrays of fields repeating
+    every N_p/k slots; with k = 1 it acts on Fields of op's mesh as well as
+    on their value arrays. apply returns what it is given.
     """
 
-    def __init__(self, op: LaplacianOperator, tau: float, m: float):
+    def __init__(self, op: LaplacianOperator, tau: float, m: float, fold: int = 1):
         if tau <= 0.0 or m <= 0.0:
             raise ValueError("tau and m must be positive")
         self.op = op
         self.tau = tau
         self.m = m
+        self.fold = fold
         z = 1j * tau / (4.0 * m)
-        self._minus = op.shifted(1.0, -z)
-        self._solver = SlotFFTSolver(op, 1.0, -z)
+        self._minus = op.shifted(1.0, -z, fold)
+        self._solver = SlotFFTSolver(op, 1.0, -z, fold)
 
-    def apply(self, u: Field) -> Field:
-        if u.mesh is not self.op.mesh:
-            raise ValueError("field mesh does not match operator mesh")
-        v = u.values.astype(np.complex128, copy=False)
+    def apply(self, u: Field | np.ndarray) -> Field | np.ndarray:
+        if not isinstance(u, Field):
+            return self._step(u)
+        if u.mesh is not self.op.mesh or self.fold != 1:
+            raise ValueError("a Field must live on the operator's mesh, with fold 1")
+        return Field(u.mesh, self._step(u.values))
+
+    def _step(self, u: np.ndarray) -> np.ndarray:
+        if u.shape != (self._minus.shape[0],):
+            raise ValueError(f"expected {self._minus.shape[0]} sector values, got shape {u.shape}")
+        v = u.astype(np.complex128, copy=False)
         x = checked_solve(self._solver.solve, self._minus, v, "kinetic solve")
-        return Field(self.op.mesh, 2.0 * x - v)
+        return 2.0 * x - v
 
 
 def flow_kinetic(u: Field, tau: float, m: float, op: LaplacianOperator) -> Field:
@@ -100,8 +129,9 @@ def strang_step(u: Field, t: float, kinetic: KineticFlow, params: PotentialParam
                 gamma: float) -> Field:
     """One unfused splitting step over [t, t + tau].
 
-    evolve fuses the half-flows of neighbouring steps; this is the plain
-    composition it is tested against.
+    evolve fuses the half-flows of neighbouring steps on its sector; this
+    is the plain composition on the whole mesh (a Field and a fold-1
+    kinetic flow) that it is tested against.
     """
     tau = kinetic.tau
     w = flow_potential(u, t, 0.5 * tau, params, gamma)
@@ -117,6 +147,7 @@ class EvolveResult:
     err_reference: np.ndarray | None
     snapshots: list[Field]
     final: Field
+    fold: int  # the run stepped N_p/fold slots (layout.sector)
 
 
 def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
@@ -128,6 +159,10 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
     reference field is given, || |psi| - reference || are recorded at every
     emission. Emissions happen at t=0, every snapshot_stride-th step, and at
     t_max. Aborts with the step index if the state stops being finite.
+
+    The steps run on the sector of the largest fold k that the stirrer
+    allows and u0 keeps exactly (see the module docstring); emissions and
+    the final state see the field tiled from it.
     """
     if u0.mesh is not op.mesh:
         raise ValueError("field mesh does not match operator mesh")
@@ -137,8 +172,12 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
     tau = config.tau
     n_steps = config.n_steps
     stride = config.snapshot_stride
-    kinetic = KineticFlow(op, tau, m)
-    table = phase_table(params, mesh.centers)
+    # The stirrer repeats every 2 pi/n_theta, the mesh every 2 pi/N_p.
+    stirrer_fold = math.gcd(params.n_theta, mesh.n_points) if params.V_p != 0.0 else mesh.n_points
+    fold = invariant_fold(mesh, u0.values, stirrer_fold)
+    kinetic = KineticFlow(op, tau, m, fold)
+    in_sector = sector(mesh, fold)
+    table = phase_table(params, mesh.centers[in_sector])
 
     times, masses, energies, errs = [], [], [], []
     snapshots: list[Field] = []
@@ -156,9 +195,12 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
         if on_emit is not None:
             on_emit(step, t, psi)
 
+    def tiled(psi: np.ndarray) -> Field:
+        return Field(mesh, tile(mesh, psi, fold))
+
     emit(0, Field(mesh, u0.values.astype(np.complex128)))
 
-    psi = flow_potential(u0, 0.0, 0.5 * tau, params, gamma, table)
+    psi = flow_potential(u0.values[in_sector], 0.0, 0.5 * tau, params, gamma, table)
     for j in range(1, n_steps + 1):
         try:
             psi = kinetic.apply(psi)
@@ -166,24 +208,26 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
             raise NumericalError(f"step {j}: {exc}") from None
         # Phase flows preserve the modulus, so this is the only spot a
         # non-finite value can enter the state.
-        if not np.isfinite(psi.values).all():
+        if not np.isfinite(psi).all():
             raise NumericalError(f"non-finite state at step {j}")
         t_half = (j - 0.5) * tau
         if j < n_steps:
             if stride and j % stride == 0:
-                emit(j, flow_potential(psi, t_half, 0.5 * tau, params, gamma, table))
+                emit(j, tiled(flow_potential(psi, t_half, 0.5 * tau, params, gamma, table)))
             psi = flow_potential(psi, t_half, tau, params, gamma, table)
         else:
             psi = flow_potential(psi, t_half, 0.5 * tau, params, gamma, table)
 
-    emit(n_steps, psi)
+    final = tiled(psi)
+    emit(n_steps, final)
     return EvolveResult(
         times=np.asarray(times),
         mass=np.asarray(masses),
         energy=np.asarray(energies),
         err_reference=np.asarray(errs) if reference is not None else None,
         snapshots=snapshots,
-        final=psi,
+        final=final,
+        fold=fold,
     )
 
 

@@ -5,6 +5,14 @@ renormalization to the unit-mass sphere. A step is accepted only if the
 energy strictly decreases; otherwise the step size kappa is halved and never
 re-grown. Iteration stops when the projected gradient (the residual of the
 Euler-Lagrange equation on the sphere) drops below epsilon.
+
+The flow starts from the constant field, and a step maps a slot-invariant
+field to a slot-invariant one, so every iterate lies in slot mode 0: one
+value per (band, kind), in the row order of layout.slot_symbol. The flow
+runs on those 2*n_bands rows (SlotInvariantProblem), where each step is a
+tridiagonal solve, and the result is tiled onto the mesh, so it is exactly
+slot-invariant. energy, energy_gradient and residual_criterion are the
+same quantities for any field on the mesh.
 """
 
 from __future__ import annotations
@@ -12,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded
 
 from .errors import NumericalError
-from .fv import Field, LaplacianOperator, inner_product, norm, normalize
-from .layout import SlotFFTSolver
+from .fv import Field, LaplacianOperator, inner_product, norm
+from .layout import mode0_rows, tile_mode0
 
 # Relative residual contract for every inner linear solve.
 SOLVER_RESIDUAL_TOL = 1e-10
@@ -102,50 +110,98 @@ def residual_criterion(u: Field, grad: Field) -> float:
     return norm(Field(u.mesh, proj))
 
 
-def gradient_flow_step(u: Field, trap: Field, op: LaplacianOperator,
-                       m: float, gamma: float, kappa: float) -> Field:
+class _Tridiagonal:
+    """A tridiagonal matrix held in solve_banded's (1, 1) layout."""
+
+    def __init__(self, ab: np.ndarray):
+        self.ab = ab
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        ab = self.ab
+        y = ab[1] * x
+        y[:-1] += ab[0, 1:] * x[1:]
+        y[1:] += ab[2, :-1] * x[:-1]
+        return y
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return solve_banded((1, 1), self.ab, b)
+
+
+class SlotInvariantProblem:
+    """The energy of slot-invariant real fields, on their mode-0 rows.
+
+    A row j stands for the N_p triangles of one (band, kind), which together
+    weigh N_p times the slot-0 area. A_T acts on the rows as the mode-0
+    tridiagonal op.slot_symbol[:, 0, :], held in solve_banded's (1, 1)
+    layout; the trap is sampled at slot 0.
+    """
+
+    def __init__(self, trap: Field, op: LaplacianOperator, m: float, gamma: float):
+        mesh = op.mesh
+        if trap.mesh is not mesh:
+            raise ValueError("trap mesh does not match operator mesh")
+        self.mesh = mesh
+        self.m = m
+        self.gamma = gamma
+        self.weight = mesh.n_points * mode0_rows(mesh, mesh.areas)
+        self.trap = mode0_rows(mesh, trap.values.real)
+        lower, diag, upper = op.slot_symbol[:, 0, :].real
+        self.laplacian = _Tridiagonal(np.array([np.roll(upper, 1), diag, np.roll(lower, -1)]))
+
+    def norm(self, u: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(self.weight * u * u)))
+
+    def energy(self, u: np.ndarray) -> float:
+        """E(U) = -(1/2m) <U, A_T U> + <U, V U> + (gamma/2) <U, U^3>."""
+        dens = u * u
+        kin = -0.5 / self.m * float(np.sum(self.weight * u * (self.laplacian @ u)))
+        pot = float(np.sum(self.weight * self.trap * dens))
+        quart = 0.5 * self.gamma * float(np.sum(self.weight * dens * dens))
+        return kin + pot + quart
+
+    def residual(self, u: np.ndarray) -> float:
+        """Norm of the energy gradient projected on the tangent of the unit sphere at u."""
+        grad = (-1.0 / self.m) * (self.laplacian @ u) \
+            + 2.0 * self.trap * u + 2.0 * self.gamma * u * u * u
+        proj = grad - np.sum(self.weight * grad * u) * u
+        return self.norm(proj)
+
+    def field(self, u: np.ndarray) -> Field:
+        """The slot-invariant field on the mesh whose mode-0 rows are u."""
+        return Field(self.mesh, tile_mode0(self.mesh, u))
+
+
+def gradient_flow_step(u: np.ndarray, problem: SlotInvariantProblem,
+                       kappa: float) -> np.ndarray:
     """One semi-implicit descent step followed by renormalization.
 
-    Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n and returns
-    W / ||W||. The linearization freezes the density at the current iterate.
-    The matrix is op.shifted(1 + 2 kappa (V + gamma |U^n|^2), -kappa/m) and
-    the solve the slot-FFT one. When the solver refuses it (the diagonal is
-    not slot-invariant, as for a non-invariant U^n, or an indefinite system
-    meets a small pivot) the matrix gets a sparse LU instead.
+    Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n on the
+    mode-0 rows u = U^n of problem and returns W / ||W||. The linearization
+    freezes the density at the current iterate. The system is tridiagonal;
+    solve_banded factors it with partial pivoting, so an indefinite one
+    (a negative trap) needs no other path.
     """
-    shift = 1.0 + kappa * (2.0 * trap.values.real + 2.0 * gamma * u.abs2())
-    mat = op.shifted(shift, -kappa / m)
-    try:
-        solve = SlotFFTSolver(op, shift, -kappa / m).solve
-    except NumericalError:  # shift not slot-invariant, or a pivot too small
-        lu = splu(mat.tocsc())
-
-        def solve(b):
-            # Real factorization; complex right-hand sides split into two solves.
-            if np.iscomplexobj(b):
-                return lu.solve(b.real) + 1j * lu.solve(b.imag)
-            return lu.solve(b)
-
-    w = checked_solve(solve, mat, u.values, "linear solve")
-    return normalize(Field(u.mesh, w))
+    mat = _Tridiagonal((-kappa / problem.m) * problem.laplacian.ab)
+    mat.ab[1] += 1.0 + kappa * (2.0 * problem.trap + 2.0 * problem.gamma * u * u)
+    w = checked_solve(mat.solve, mat, u, "linear solve")
+    return w / problem.norm(w)
 
 
 def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: float,
-                         config: GradientFlowConfig = GradientFlowConfig(),
-                         u0: Field | None = None) -> GroundStateResult:
-    """Run the normalized gradient flow to the stopping residual.
+                         config: GradientFlowConfig = GradientFlowConfig()) -> GroundStateResult:
+    """Run the normalized gradient flow from the constant field to the stopping residual.
 
-    Starts from the normalized constant field unless u0 is given. Raises
+    The flow runs on the mode-0 rows of SlotInvariantProblem and the field
+    it returns is their tiling, exactly slot-invariant. Raises
     NumericalError if kappa underflows KAPPA_MIN; returns converged=False if
     max_iters runs out first.
     """
-    mesh = op.mesh
-    if trap.mesh is not mesh or (u0 is not None and u0.mesh is not mesh):
-        raise ValueError("trap/initial field mesh does not match operator mesh")
-    u = normalize(u0 if u0 is not None else Field.constant(mesh, 1.0))
+    problem = SlotInvariantProblem(trap, op, m, gamma)
+    u = np.ones_like(problem.weight)
+    u /= problem.norm(u)
 
-    e = energy(u, trap, op, m, gamma)
-    res = residual_criterion(u, energy_gradient(u, trap, op, m, gamma))
+    e = problem.energy(u)
+    res = problem.residual(u)
     energies = [e]
     residuals = [res]
     kappa = config.kappa0
@@ -154,13 +210,13 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
     converged = res <= config.epsilon
 
     while not converged and iterations < config.max_iters:
-        candidate = gradient_flow_step(u, trap, op, m, gamma, kappa)
-        e_new = energy(candidate, trap, op, m, gamma)
+        candidate = gradient_flow_step(u, problem, kappa)
+        e_new = problem.energy(candidate)
         if e_new < e:
             u = candidate
             e = e_new
             iterations += 1
-            res = residual_criterion(u, energy_gradient(u, trap, op, m, gamma))
+            res = problem.residual(u)
             energies.append(e)
             residuals.append(res)
             converged = res <= config.epsilon
@@ -173,7 +229,7 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
                     f"at iteration {iterations}, residual {res:.3e}")
 
     return GroundStateResult(
-        field=u,
+        field=problem.field(u),
         energies=np.asarray(energies),
         residuals=np.asarray(residuals),
         iterations=iterations,

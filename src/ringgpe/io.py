@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import weakref
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -187,20 +188,41 @@ def field_cell_data(u: Field) -> dict[str, np.ndarray]:
     return {"re": v.real.copy(), "im": v.imag.copy(), "density": np.abs(v) ** 2}
 
 
+# The POINTS, CELLS and CELL_TYPES text of each RingMesh, which every VTK
+# file of that mesh repeats. A mesh is not changed once built.
+_VTK_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _vtk_geometry(mesh: RingMesh) -> tuple[str, ...]:
+    cached = isinstance(mesh, RingMesh)  # other mesh-like objects are rendered each time
+    text = _VTK_GEOMETRY.get(mesh) if cached else None
+    if text is None:
+        n_cells = mesh.n_triangles
+        text = (
+            f"POINTS {mesh.n_vertices} double\n",
+            *_lines([*mesh.vertices.T, np.zeros(mesh.n_vertices, int)], sep=" "),
+            f"CELLS {n_cells} {4 * n_cells}\n",
+            *_lines([np.full(n_cells, 3), *mesh.triangles.T], sep=" "),
+            f"CELL_TYPES {n_cells}\n",
+            *_lines([np.full(n_cells, 5)]),
+        )
+        if cached:
+            _VTK_GEOMETRY[mesh] = text
+    return text
+
+
 def write_legacy_vtk(path, mesh: RingMesh, cell_data: Mapping[str, np.ndarray] | None = None,
                      title: str = "ringgpe output") -> Path:
-    """Write the triangulation (plus per-triangle scalars) as legacy ASCII VTK."""
+    """Write the triangulation (plus per-triangle scalars) as legacy ASCII VTK.
+
+    The geometry text is rendered once per mesh and reused by later files.
+    """
     if "\n" in title or len(title) > 255:
         raise ValueError("title must be a single line of at most 255 characters")
     n_cells = mesh.n_triangles
     parts = [
-        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-         f"POINTS {mesh.n_vertices} double\n"],
-        _lines([*mesh.vertices.T, np.zeros(mesh.n_vertices, int)], sep=" "),
-        [f"CELLS {n_cells} {4 * n_cells}\n"],
-        _lines([np.full(n_cells, 3), *mesh.triangles.T], sep=" "),
-        [f"CELL_TYPES {n_cells}\n"],
-        _lines([np.full(n_cells, 5)]),
+        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"],
+        _vtk_geometry(mesh),
     ]
     if cell_data:
         parts.append([f"CELL_DATA {n_cells}\n"])

@@ -116,6 +116,25 @@ class TestConfigErrors:
             assert os.environ[name] == "3"
 
 
+    def test_threads_sets_fft_workers_for_the_run(self, tiny_path, tmp_path, monkeypatch):
+        import scipy.fft
+
+        default = scipy.fft.get_workers()
+        seen = []
+        run_pipeline = harness.run_pipeline
+
+        def recording(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_pipeline", recording)
+        out = str(tmp_path / "o")
+        assert cli.main(["mesh", "--config", tiny_path, "--out", out, "--threads", "2"]) == 0
+        assert cli.main(["mesh", "--config", tiny_path, "--out", out]) == 0
+        assert seen == [2, default]
+        assert scipy.fft.get_workers() == default
+
+
 class TestNumericalFailure:
     def test_maps_to_exit_3(self, tiny_path, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -165,6 +184,13 @@ class TestCommands:
         assert {"modes_initial.csv", "modes_final.csv",
                 "mode_eigenvalues.csv"} <= names
         assert "vortices.csv" not in names
+
+    def test_evolve_summary_names_the_sector(self, tiny_path, tmp_path, capsys):
+        # The tiny config has no stirrer, and the ground state keeps every
+        # rotation of its N_p = 63 slots, so the run steps one of them.
+        assert cli.main(["evolve", "--config", tiny_path,
+                         "--out", str(tmp_path / "ev")]) == 0
+        assert "(sector k=63, 1 of 63 slots)" in capsys.readouterr().out
 
     def test_conv_space(self, tiny_path, tmp_path, capsys):
         out = tmp_path / "space"

@@ -378,6 +378,30 @@ class TestVtk:
         values = np.array([float(v) for v in lines[data_at + 3:data_at + 3 + n]])
         assert np.array_equal(values, cfield.values.real)
 
+    def test_geometry_rendered_once_per_mesh(self, cfield, tmp_path, monkeypatch):
+        # A second file of one mesh formats only its cell data, and gives
+        # the bytes of a fresh rendering (a stand-in mesh is never cached).
+        mesh = build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2))
+        data = rio.field_cell_data(Field(mesh, cfield.values))
+        stand_in = SimpleNamespace(n_vertices=mesh.n_vertices, n_triangles=mesh.n_triangles,
+                                   vertices=mesh.vertices, triangles=mesh.triangles)
+        fresh = rio.write_legacy_vtk(tmp_path / "fresh.vtk", stand_in, data,
+                                     title="snap").read_bytes()
+        calls = []
+        lines = rio._lines
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return lines(*args, **kwargs)
+
+        monkeypatch.setattr(rio, "_lines", counting)
+        for name in ("first.vtk", "second.vtk"):
+            path = rio.write_legacy_vtk(tmp_path / name, mesh, data, title="snap")
+            assert path.read_bytes() == fresh
+        # Geometry: points (x, y, 0), cells (3, v0, v1, v2), types; then one
+        # column per cell array in each file.
+        assert calls == [3, 4, 1, 1, 1, 1] + [1, 1, 1]
+
     def test_mesh_only_has_no_cell_data(self, mesh, tmp_path):
         path = rio.write_legacy_vtk(tmp_path / "m.vtk", mesh)
         assert "CELL_DATA" not in path.read_text()

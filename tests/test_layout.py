@@ -1,10 +1,7 @@
 """Slot-FFT solver: layout, symbol, the shifted-operator builder, differential
-tests against the stacked LAPACK solver and splu, the slot-invariance and
-pivot guards, the gradient-flow dispatch, and unitarity of the Cayley flow
-it drives."""
-
-import re
-import warnings
+tests against the stacked LAPACK solver and splu, the pivot guard, the
+mode-0 gradient flow against the full-mesh flow, and unitarity of the Cayley
+flow the solver drives."""
 
 import numpy as np
 import pytest
@@ -14,17 +11,30 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from ringgpe import dynamics, ground_state, layout
+from ringgpe import dynamics, ground_state
 from ringgpe.errors import NumericalError
 from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, make_unstable_state
 from ringgpe.fv import Field, assemble_laplacian, norm, normalize
 from ringgpe.ground_state import (
+    KAPPA_MIN,
     GradientFlowConfig,
+    SlotInvariantProblem,
     checked_solve,
     compute_ground_state,
+    energy,
+    energy_gradient,
     gradient_flow_step,
+    residual_criterion,
 )
-from ringgpe.layout import SlotFFTSolver, slot_defect, slot_shifted, slot_symbol, slot_view
+from ringgpe.layout import (
+    SlotFFTSolver,
+    mode0_rows,
+    slot_defect,
+    slot_shifted,
+    slot_symbol,
+    slot_view,
+    tile_mode0,
+)
 from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation, triangle_shells
 from ringgpe.potentials import PotentialParams, trap_field
 
@@ -43,19 +53,6 @@ MESHES = {
 @pytest.fixture(scope="module", params=sorted(MESHES))
 def mesh(request):
     return build_ring_mesh(MESHES[request.param])
-
-
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """Shapes of the matrices ground_state factors with splu, in call order."""
-    calls = []
-
-    def counting(mat):
-        calls.append(mat.shape)
-        return splu(mat)
-
-    monkeypatch.setattr(ground_state, "splu", counting)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +81,27 @@ def splu_gradient_flow_step(u, trap, op, m, gamma, kappa):
     return normalize(Field(u.mesh, w))
 
 
+def full_mesh_ground_state(trap, op, m, gamma, config):
+    """The gradient flow on every triangle with splu steps: the reference
+    for compute_ground_state's mode-0 flow. Returns (field, iterations,
+    rejections)."""
+    u = normalize(Field.constant(op.mesh, 1.0))
+    e = energy(u, trap, op, m, gamma)
+    res = residual_criterion(u, energy_gradient(u, trap, op, m, gamma))
+    kappa, iterations, rejections = config.kappa0, 0, 0
+    while res > config.epsilon and iterations < config.max_iters:
+        candidate = splu_gradient_flow_step(u, trap, op, m, gamma, kappa)
+        e_new = energy(candidate, trap, op, m, gamma)
+        if e_new < e:
+            u, e, iterations = candidate, e_new, iterations + 1
+            res = residual_criterion(u, energy_gradient(u, trap, op, m, gamma))
+        else:
+            rejections += 1
+            kappa *= 0.5
+            assert kappa >= KAPPA_MIN
+    return u, iterations, rejections
+
+
 def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -100,10 +118,8 @@ class StackedGttrsSolver:
     def __init__(self, op, shift, scale):
         mesh = self.mesh = op.mesh
         self.real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
-        shift = np.broadcast_to(shift, (mesh.n_triangles,))
-        mean_shift = slot_view(mesh, shift).mean(axis=1)[:, ::-1].ravel()
         diags = scale * op.slot_symbol
-        diags[1] += mean_shift
+        diags[1] += shift
         gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"),
                                                     dtype=np.complex128)
         *self.lu, info = gttrf(diags[0].ravel()[1:], diags[1].ravel(),
@@ -120,13 +136,22 @@ class StackedGttrsSolver:
         return x.real.copy() if self.real and not np.iscomplexobj(b) else x
 
 
-def solver_cases(mesh):
-    """(shift, scale) pairs: real, complex scale (the Cayley matrix) and
-    complex shift and scale, with slot-invariant per-triangle shifts."""
+# (shift, scale) pairs of the solver: real, complex scale (the Cayley
+# matrix) and complex shift and scale.
+SOLVER_CASES = {
+    "real": (1.5, -0.01),
+    "cayley": (1.0, -1j * 6e-3 / (4.0 * M_EFF)),
+    "complex": (1.0 + 0.5j, -0.01 + 0.02j),
+}
+
+
+def shifted_cases(mesh):
+    """SOLVER_CASES with slot-invariant per-triangle shifts, which
+    LaplacianOperator.shifted accepts as well."""
     r2 = mesh.centers[:, 0] ** 2 + mesh.centers[:, 1] ** 2
     return {
         "real": (1.0 + 0.5 * r2, -0.01),
-        "cayley": (1.0, -1j * 6e-3 / (4.0 * M_EFF)),
+        "cayley": SOLVER_CASES["cayley"],
         "complex": ((1.0 + 0.5j) * r2, -0.01 + 0.02j),
     }
 
@@ -201,15 +226,15 @@ class TestLayout:
                 slot_symbol(mesh, bad)
 
     def test_refinement_absorbs_slot_defect(self, mesh):
-        # Only the slot mean of shift is factored; the refinement step of
-        # checked_solve against the assembled matrix corrects a small
-        # departure from it.
+        # The solver factors a slot-invariant system; the refinement step of
+        # checked_solve against an assembled matrix that departs from it
+        # slot by slot corrects the difference.
         op = assemble_laplacian(mesh, "dirichlet")
         rng = np.random.default_rng(2)
         shift = 1.0 + 1e-9 * rng.standard_normal(mesh.n_triangles)
         mat = (sp.diags(shift) - 0.01 * op.A_T).tocsr()
         b = rng.standard_normal(mesh.n_triangles)
-        x = checked_solve(SlotFFTSolver(op, shift, -0.01).solve, mat, b, "test solve")
+        x = checked_solve(SlotFFTSolver(op, 1.0, -0.01).solve, mat, b, "test solve")
         assert x.dtype == np.float64
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 
@@ -229,7 +254,7 @@ class TestShifted:
     @pytest.mark.parametrize("case", ["real", "cayley", "complex", "complex shift"])
     def test_matches_diags_plus_scaled_operator(self, mesh, bc, case):
         op = assemble_laplacian(mesh, bc)
-        cases = solver_cases(mesh)
+        cases = shifted_cases(mesh)
         cases["complex shift"] = (cases["complex"][0], cases["real"][1])
         shift, scale = cases[case]
         kept = op.A_T.data.copy()
@@ -251,7 +276,7 @@ class TestSweep:
     def test_matches_stacked_gttrs(self, mesh, bc, case, rhs):
         # Unrefined: both solvers factor the same slot-mean symbol.
         op = assemble_laplacian(mesh, bc)
-        shift, scale = solver_cases(mesh)[case]
+        shift, scale = SOLVER_CASES[case]
         b = random_complex(mesh, 5)
         if rhs == "real":
             b = b.real.copy()
@@ -265,7 +290,7 @@ class TestSweep:
         op = assemble_laplacian(mesh, "dirichlet")
         b = random_complex(mesh, 6)
         kept = b.copy()
-        SlotFFTSolver(op, *solver_cases(mesh)["cayley"]).solve(b)
+        SlotFFTSolver(op, *SOLVER_CASES["cayley"]).solve(b)
         assert np.array_equal(b, kept)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
@@ -280,22 +305,13 @@ class TestSweep:
         with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 \(band 0, kind 1\)"):
             SlotFFTSolver(op, -scale * sym[1, 0, 0].real, scale)
 
-    @pytest.mark.parametrize("case", ["real", "complex"])
-    def test_shift_off_slot_mean_refused(self, mesh, case):
-        # Only the slot mean of shift is factored, so the solver refuses a
-        # shift that departs from it; the measure holds for complex shifts.
+    def test_array_shift_refused(self, mesh):
+        # Only a scalar shift is factored; a per-triangle one, even a
+        # slot-invariant one, is refused by name.
         op = assemble_laplacian(mesh, "dirichlet")
-        shift, scale = solver_cases(mesh)[case]
-        bump = 1e-6 if case == "real" else 1e-6 * (1.0 - 1.0j)
-        off = shift.copy()
-        off[7] += bump
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        shift, scale = shifted_cases(mesh)["real"]
+        with pytest.raises(ValueError, match="must be scalars"):
             SlotFFTSolver(op, shift, scale)
-            with pytest.raises(NumericalError, match="above SLOT_INVARIANCE_TOL") as err:
-                SlotFFTSolver(op, off, scale)
-        defect = float(re.search(r"slot mean by (\S+),", str(err.value)).group(1))
-        assert defect == pytest.approx(abs(bump) * (1.0 - 1.0 / mesh.n_points), rel=1e-3)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(tau=st.floats(1e-6, 1.0), m=st.floats(1e-2, 100.0),
@@ -324,86 +340,82 @@ class TestDifferential:
 
     def test_gradient_flow_step_matches_splu(self, desk_op, desk_trap,
                                              desk_ground_state):
+        # One mode-0 step, tiled, against the step on every triangle.
+        problem = SlotInvariantProblem(desk_trap, desk_op, M_EFF, GAMMA)
         u = desk_ground_state.field
+        rows = mode0_rows(desk_op.mesh, u.values)
         for kappa in (1e-2, 1e-4):
-            got = gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, kappa)
+            got = gradient_flow_step(rows, problem, kappa)
             want = splu_gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, kappa)
-            assert got.values.dtype == np.float64
-            assert rel(got.values, want.values) <= 1e-12
+            assert got.dtype == np.float64
+            assert rel(tile_mode0(desk_op.mesh, got), want.values) <= 1e-12
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_ground_state_matches_full_mesh_flow(self, desk_mesh, desk_trap, bc):
+        # The tiled field is exactly slot-invariant, so criterion 05's
+        # rotation defect is 0 by construction; this checks that the
+        # restriction to mode 0 loses nothing against the flow on every
+        # triangle, step for step.
+        op = assemble_laplacian(desk_mesh, bc)
+        config = GradientFlowConfig(kappa0=1e-2, epsilon=5e-3)
+        got = compute_ground_state(desk_trap, op, M_EFF, GAMMA, config)
+        want, iterations, rejections = full_mesh_ground_state(desk_trap, op, M_EFF,
+                                                              GAMMA, config)
+        assert (got.iterations, got.n_rejections) == (iterations, rejections)
+        defect = np.abs(got.field.values - want.values).max() / np.abs(want.values).max()
+        assert defect <= 1e-12
 
 
 class TestDispatch:
-    def test_slot_invariant_input_never_uses_splu(self, desk_mesh, desk_op, desk_trap,
-                                                  monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("splu called on slot-invariant input")
-
-        monkeypatch.setattr(ground_state, "splu", forbidden)
-        assert not hasattr(dynamics, "splu")
+    def test_slot_invariant_input_never_uses_splu(self, desk_mesh, desk_op, desk_trap):
+        # Neither solver has a sparse LU left to fall back on: the ground
+        # state is tiled from mode 0, exactly slot-invariant, and a static
+        # evolve from it steps one slot.
+        assert not hasattr(ground_state, "splu") and not hasattr(dynamics, "splu")
         res = compute_ground_state(desk_trap, desk_op, M_EFF, GAMMA,
                                    GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
         assert res.converged
         perm = rotation_permutation(desk_mesh)
-        assert np.abs(res.field.values[perm] - res.field.values).max() < 1e-12
+        assert np.array_equal(res.field.values[perm], res.field.values)
         out = evolve(res.field, desk_op, STATIC, M_EFF, GAMMA,
                      SplitStepConfig(tau=6e-4, t_max=3e-3), keep_snapshots=False)
+        assert out.fold == desk_mesh.n_points
         assert abs(out.mass[-1] - out.mass[0]) < 1e-13
 
-    def test_non_invariant_input_takes_splu(self, small, splu_calls):
-        op = small["dirichlet"]
-        mesh = op.mesh
-        trap = trap_field(STATIC, mesh)
-        u = normalize(Field(mesh, np.random.default_rng(4).standard_normal(mesh.n_triangles)))
-        got = gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
-        assert splu_calls == [(mesh.n_triangles, mesh.n_triangles)]
-        want = splu_gradient_flow_step(u, trap, op, M_EFF, GAMMA, 1e-2)
-        assert np.array_equal(got.values, want.values)
-
-    def test_large_first_step_converges_through_splu(self, small, splu_calls):
-        # With kappa0 = 1 the flow backs off to kappa = 1/128, where the
-        # round-off slot defect of the iterate doubles with every accepted
-        # step; once the shift departs from its slot mean by more than
-        # SLOT_INVARIANCE_TOL, the solver refuses it and splu takes over.
+    def test_large_first_step_converges_slot_invariant(self, small):
+        # With kappa0 = 1 the flow backs off to kappa = 1/128. On every
+        # triangle the round-off slot defect of the iterate doubled there
+        # with each accepted step; in mode 0 there is none to amplify.
         op = small["dirichlet"]
         res = compute_ground_state(trap_field(STATIC, op.mesh), op, M_EFF, GAMMA,
                                    GradientFlowConfig(kappa0=1.0, epsilon=5e-3))
-        assert res.converged
-        assert splu_calls
+        assert res.converged and res.n_rejections >= 1
+        assert slot_defect(op.mesh, res.field.values) == 0.0
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_indefinite_step_takes_splu(self, small, bc, splu_calls):
+    def test_indefinite_step_converges_without_fallback(self, small, bc):
         # A negative constant trap whose shift cancels row 0's diagonal to
         # 1e-12 (see test_zero_pivot_refused) makes every mode's first pivot
-        # nearly vanish, so the slot-mode factorization is refused without
-        # touching PIVOT_TOL; the sparse LU pivots and solves the step. (An
-        # exact cancellation would let scipy's sparse sum in the reference
-        # drop the zero diagonal entries and reorder its LU.)
+        # nearly vanish, so the unpivoted slot-mode factorization refuses
+        # it. The mode-0 step is a banded LU with partial pivoting: it
+        # solves that step, and the flow converges from it.
         op = small[bc]
         mesh = op.mesh
         kappa = 1e-2
         cancel = (kappa / M_EFF) * op.slot_symbol[1, 0, 0].real * (1.0 + 1e-12)
         trap_value = (cancel - 1.0) / (2.0 * kappa)
         trap = Field.constant(mesh, trap_value)
-        u = normalize(Field.constant(mesh, 1.0))
         with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 "):
             SlotFFTSolver(op, 1.0 + kappa * 2.0 * trap_value, -kappa / M_EFF)
-        got = gradient_flow_step(u, trap, op, M_EFF, 0.0, kappa)
-        assert splu_calls == [(mesh.n_triangles, mesh.n_triangles)]
+        u = normalize(Field.constant(mesh, 1.0))
+        problem = SlotInvariantProblem(trap, op, M_EFF, 0.0)
+        got = gradient_flow_step(mode0_rows(mesh, u.values), problem, kappa)
         want = splu_gradient_flow_step(u, trap, op, M_EFF, 0.0, kappa)
-        assert np.array_equal(got.values, want.values)
-
-    def test_refused_factorization_takes_splu(self, desk_op, desk_trap, desk_ground_state,
-                                              splu_calls, monkeypatch):
-        # A slot-invariant step whose slot-mode factorization is refused
-        # (every pivot counts as small here) is solved by the sparse LU.
-        monkeypatch.setattr(layout, "PIVOT_TOL", 2.0)
-        u = desk_ground_state.field
-        with pytest.raises(NumericalError, match="PIVOT_TOL"):
-            SlotFFTSolver(desk_op, 1.0, -1e-3)
-        got = gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
-        assert len(splu_calls) == 1
-        want = splu_gradient_flow_step(u, desk_trap, desk_op, M_EFF, GAMMA, 1e-2)
-        assert np.array_equal(got.values, want.values)
+        assert rel(tile_mode0(mesh, got), want.values) <= 1e-10
+        res = compute_ground_state(trap, op, M_EFF, 0.0,
+                                   GradientFlowConfig(kappa0=kappa, epsilon=5e-3))
+        assert res.converged
+        assert slot_defect(mesh, res.field.values) == 0.0
 
 
 class TestUnitarity:

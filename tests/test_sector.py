@@ -1,0 +1,202 @@
+"""Rotation sectors: the folded operator, solve and fold rule over every
+divisor of N_p, and evolve on a sector against the unfused full-mesh
+strang_step for the set-ups of criteria 04, 06 and 07."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
+
+from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, flow_potential, strang_step
+from ringgpe.fv import Field, assemble_laplacian
+from ringgpe.ground_state import checked_solve
+from ringgpe.layout import (
+    SlotFFTSolver,
+    invariant_fold,
+    sector,
+    sector_laplacian,
+    slot_view,
+    tile,
+)
+from ringgpe.mesh import MeshParams, build_ring_mesh
+from ringgpe.potentials import PotentialParams, phase_table
+
+M_EFF = 10.0
+V0 = 100.0
+GAMMA = 100.0
+STATIC = PotentialParams(m=M_EFF, V0=V0)
+STIR = PotentialParams(m=M_EFF, V0=V0, V_p=0.05, n_theta=6, omega=10.0 * math.pi / 3.0)
+
+# The small test meshes of test_layout: N_p = 128, 63 and 3.
+MESHES = {
+    "even": MeshParams(r_min=0.6, r_max=1.4, h=0.1, n_points=128),
+    "odd": MeshParams(r_min=0.6, r_max=1.4, h=0.2),
+    "three": MeshParams(r_min=0.6, r_max=1.4, h=0.2, n_circles=3, n_points=3),
+}
+N_POINTS = {"even": 128, "odd": 63, "three": 3}
+FOLDS = [(name, k) for name, n_p in N_POINTS.items()
+         for k in range(1, n_p + 1) if n_p % k == 0]
+PROPERTY = settings(derandomize=True, max_examples=5, deadline=None)
+
+
+@functools.cache
+def operator(name, bc):
+    mesh = build_ring_mesh(MESHES[name])
+    assert mesh.n_points == N_POINTS[name]
+    return assemble_laplacian(mesh, bc)
+
+
+def random_sector(mesh, fold, seed):
+    rng = np.random.default_rng(seed)
+    n = sector(mesh, fold).size
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestSectorProperties:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name,fold", FOLDS)
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-2.0, 2.0),
+           scale=st.complex_numbers(max_magnitude=1.0))
+    def test_operator_matches_full_rows(self, name, fold, bc, seed, shift, scale):
+        op = operator(name, bc)
+        mesh = op.mesh
+        x = random_sector(mesh, fold, seed)
+        got = op.shifted(shift, scale, fold) @ x
+        want = (op.shifted(shift, scale) @ tile(mesh, x, fold))[sector(mesh, fold)]
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name,fold", FOLDS)
+    def test_laplacian_self_adjoint_for_sector_areas(self, name, fold, bc):
+        # Wrapping alone leaves the rotation's round-off in the sector
+        # matrix (a weighted asymmetry of 1e-14 on these meshes, 1e-12 on
+        # paper62); symmetrized, it is as self-adjoint as A_T, a few ulp,
+        # and at fold 1 it is A_T.
+        op = operator(name, bc)
+        mesh = op.mesh
+        a_t = sector_laplacian(op, fold)
+        weighted = a_t.multiply(mesh.areas[sector(mesh, fold)][:, None]).tocsr()
+        defect = abs(weighted - weighted.T).max() / abs(weighted).max()
+        assert defect <= 4 * np.finfo(float).eps
+        if fold == 1:
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a_t, part), getattr(op.A_T, part))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name,fold", FOLDS)
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 1e-1))
+    def test_solve_matches_splu_of_full_system(self, name, fold, bc, seed, tau):
+        # The Cayley system, refined against the sector rows, against a
+        # sparse LU of the whole system on the tiled right-hand side.
+        op = operator(name, bc)
+        mesh = op.mesh
+        z = 1j * tau / (4.0 * M_EFF)
+        b = random_sector(mesh, fold, seed)
+        got = checked_solve(SlotFFTSolver(op, 1.0, -z, fold).solve,
+                            op.shifted(1.0, -z, fold), b, "sector solve")
+        want = splu(op.shifted(1.0, -z).tocsc()).solve(tile(mesh, b, fold))
+        assert rel(tile(mesh, got, fold), want) <= 1e-12
+
+    @pytest.mark.parametrize("name,fold", FOLDS)
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_fold_rule(self, name, fold, seed, data):
+        # A field tiled from a random sector of N_p/fold slots repeats
+        # exactly that often; one entry nudged by one ulp breaks every
+        # rotation.
+        mesh = operator(name, "dirichlet").mesh
+        values = tile(mesh, random_sector(mesh, fold, seed), fold)
+        assert invariant_fold(mesh, values, mesh.n_points) == fold
+        i = data.draw(st.integers(0, mesh.n_triangles - 1))
+        values[i] = np.nextafter(values[i].real, np.inf) + 1j * values[i].imag
+        assert invariant_fold(mesh, values, mesh.n_points) == 1
+
+    def test_fold_rule_keeps_to_divisors_of_k0(self):
+        # A field repeating every 2 of N_p = 128 slots (fold 64) gets the
+        # largest divisor of k0 that it keeps; k0 must divide N_p.
+        mesh = operator("even", "dirichlet").mesh
+        values = tile(mesh, random_sector(mesh, 64, 1), 64)
+        assert invariant_fold(mesh, values, 32) == 32
+        assert invariant_fold(mesh, values, 2) == 2
+        with pytest.raises(ValueError, match="does not divide"):
+            invariant_fold(mesh, values, 6)
+
+    def test_slot_view_of_tile_repeats_sector(self):
+        mesh = operator("odd", "dirichlet").mesh
+        x = random_sector(mesh, 7, 3)
+        v = slot_view(mesh, tile(mesh, x, 7))
+        assert np.array_equal(v[:, :9], x.reshape(mesh.n_bands, 9, 2))
+        assert np.array_equal(v, np.roll(v, 9, axis=1))
+
+
+class TestFoldedFlows:
+    def test_field_needs_fold_one(self):
+        op = operator("odd", "dirichlet")
+        flow = KineticFlow(op, 1e-3, M_EFF, fold=3)
+        with pytest.raises(ValueError, match="fold 1"):
+            flow.apply(Field.constant(op.mesh, 1.0))
+        with pytest.raises(ValueError, match="sector values"):
+            flow.apply(np.ones(op.mesh.n_triangles, complex))
+
+    def test_array_needs_phase_table(self):
+        mesh = operator("odd", "dirichlet").mesh
+        with pytest.raises(ValueError, match="phase table"):
+            flow_potential(np.ones(mesh.n_triangles, complex), 0.0, 1e-3, STIR, GAMMA)
+        table = phase_table(STIR, mesh.centers)
+        u = Field(mesh, random_sector(mesh, 1, 4))
+        assert np.array_equal(flow_potential(u.values, 0.1, 1e-3, STIR, GAMMA, table),
+                              flow_potential(u, 0.1, 1e-3, STIR, GAMMA).values)
+
+
+class TestFoldedAgainstFull:
+    """evolve on its sector against strang_step on every triangle, from the
+    desk ground state."""
+
+    @staticmethod
+    def unfused(u0, op, params, tau, n_steps, stride):
+        kinetic = KineticFlow(op, tau, M_EFF)
+        psi = Field(u0.mesh, u0.values.astype(np.complex128))
+        snapshots = [psi]
+        for j in range(1, n_steps + 1):
+            psi = strang_step(psi, (j - 1) * tau, kinetic, params, GAMMA)
+            if j % stride == 0 or j == n_steps:
+                snapshots.append(psi)
+        return snapshots
+
+    @pytest.mark.parametrize("setup", ["04 time study", "06 static", "07 stirred"])
+    def test_matches_unfused_full_mesh(self, desk_op, desk_ground_state, setup):
+        params, tau, n_steps, stride = {
+            "04 time study": (STATIC, 0.1 / 2**8, 256, 64),
+            "06 static": (STATIC, 5e-4, 200, 100),
+            "07 stirred": (STIR, 6e-4, 250, 125),
+        }[setup]
+        n_p = desk_op.mesh.n_points
+        u0 = desk_ground_state.field
+        got = evolve(u0, desk_op, params, M_EFF, GAMMA,
+                     SplitStepConfig(tau=tau, t_max=n_steps * tau, snapshot_stride=stride),
+                     reference=u0)
+        assert got.fold == (math.gcd(6, n_p) if params is STIR else n_p)
+        want = self.unfused(u0, desk_op, params, tau, n_steps, stride)
+        assert len(got.snapshots) == len(want)
+        for a, b in zip(got.snapshots, want):
+            assert rel(a.values, b.values) <= 1e-10
+        assert rel(got.final.values, want[-1].values) <= 1e-10
+
+    def test_symmetry_broken_in_u0_takes_full_mesh(self, desk_op, desk_ground_state):
+        # Seeding asymmetry in u0 is how a run asks for the full mesh.
+        u0 = desk_ground_state.field.values.copy()
+        u0[0] = np.nextafter(u0[0], np.inf)
+        tau = 6e-4
+        r = evolve(Field(desk_op.mesh, u0), desk_op, STIR, M_EFF, GAMMA,
+                   SplitStepConfig(tau=tau, t_max=10 * tau), keep_snapshots=False)
+        assert r.fold == 1
