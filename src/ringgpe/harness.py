@@ -293,10 +293,10 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
             detectors = {
                 METHOD_DENSITY: lambda: detect_by_density(final, config.detect),
                 METHOD_REG_VORTICITY: lambda: detect_by_vorticity(
-                    regularized_vorticity(final, config.detect.delta),
+                    regularized_vorticity(final, config.detect.delta, config.bc),
                     config.detect.vort_threshold, METHOD_REG_VORTICITY),
                 METHOD_PSEUDO_VORTICITY: lambda: detect_by_vorticity(
-                    pseudo_vorticity(final),
+                    pseudo_vorticity(final, config.bc),
                     config.detect.vort_threshold, METHOD_PSEUDO_VORTICITY),
             }
             rows: list[tuple[float, VortexRecord]] = []

@@ -360,8 +360,13 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
         if frontier.size == 0:
             shells.append(np.empty(0, dtype=np.int64))
             continue
-        cand = np.unique(np.concatenate([indices[indptr[t]:indptr[t + 1]] for t in frontier]))
-        nxt = cand[~visited[cand]]
+        # The CSR rows of the whole frontier in one gather: row t spans
+        # indptr[t] .. indptr[t + 1], laid end to end.
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        reached = indices[offsets + np.arange(counts.sum())]
+        nxt = np.unique(reached[~visited[reached]])
         visited[nxt] = True
         shells.append(nxt)
         frontier = nxt

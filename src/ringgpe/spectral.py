@@ -161,13 +161,9 @@ class RadialProblem:
         return np.linspace(self.r_min, self.r_max, n + 1)
 
 
-def assemble_radial_operator(ell: int, n: int, problem: RadialProblem) -> sp.csr_matrix:
-    """Interior finite-difference matrix of the radial operator, size n-1.
-
-    Second-order central differences for both derivative terms; the Dirichlet
-    boundary points are eliminated rather than kept as zero rows, so the
-    spectrum has no spurious zero eigenvalues.
-    """
+def _radial_diagonals(ell: int, n: int,
+                      problem: RadialProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and super-diagonal of the interior radial operator, size n-1."""
     if n < 2:
         raise ValueError("n must be >= 2")
     r = problem.grid(n)[1:-1]
@@ -177,6 +173,17 @@ def assemble_radial_operator(ell: int, n: int, problem: RadialProblem) -> sp.csr
         - problem.V0 * np.exp(-2.0 * problem.m * (r - 1.0) ** 2)
     sub = -inv2m * (1.0 / h ** 2 - 1.0 / (2.0 * h * r[1:]))
     sup = -inv2m * (1.0 / h ** 2 + 1.0 / (2.0 * h * r[:-1]))
+    return sub, diag, sup
+
+
+def assemble_radial_operator(ell: int, n: int, problem: RadialProblem) -> sp.csr_matrix:
+    """Interior finite-difference matrix of the radial operator, size n-1.
+
+    Second-order central differences for both derivative terms; the Dirichlet
+    boundary points are eliminated rather than kept as zero rows, so the
+    spectrum has no spurious zero eigenvalues.
+    """
+    sub, diag, sup = _radial_diagonals(ell, n, problem)
     return sp.diags([sub, diag, sup], offsets=[-1, 0, 1]).tocsr()
 
 
@@ -189,16 +196,13 @@ def radial_modes(ell: int, P: int, n: int,
     its largest-magnitude entry positive. The nonsymmetric tridiagonal
     operator is balanced into symmetric form by an exact diagonal similarity
     (the scaling agrees with sqrt(r) up to O(h^2)); the residual is verified
-    against the original operator.
+    against the original operator, applied as a tridiagonal product.
     """
     if not P >= 0:
         raise ValueError("P must be >= 0")
     if not P + 1 <= n - 1:
         raise ValueError("need P + 1 <= n - 1 interior points")
-    H = assemble_radial_operator(ell, n, problem)
-    dense_diag = H.diagonal()
-    sub = H.diagonal(-1)
-    sup = H.diagonal(1)
+    sub, diag, sup = _radial_diagonals(ell, n, problem)
     if np.any(sub * sup <= 0.0):
         raise NumericalError("radial operator cannot be balanced into symmetric form")
     # d_{k+1}/d_k = sqrt(sub/sup) makes D^{-1} H D symmetric with
@@ -206,7 +210,7 @@ def radial_modes(ell: int, P: int, n: int,
     log_ratio = 0.5 * np.log(sub / sup)
     d = np.exp(np.concatenate(([0.0], np.cumsum(log_ratio))))
     off = -np.sqrt(sub * sup)
-    w, v = eigh_tridiagonal(dense_diag, off, select="i", select_range=(0, P))
+    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, P))
 
     vectors = np.zeros((P + 1, n + 1))
     for p in range(P + 1):
@@ -214,7 +218,10 @@ def radial_modes(ell: int, P: int, n: int,
         phi /= np.linalg.norm(phi)
         if phi[np.argmax(np.abs(phi))] < 0.0:
             phi = -phi
-        res = np.linalg.norm(H @ phi - w[p] * phi)
+        H_phi = diag * phi
+        H_phi[:-1] += sup * phi[1:]
+        H_phi[1:] += sub * phi[:-1]
+        res = np.linalg.norm(H_phi - w[p] * phi)
         if not res <= RESIDUAL_TOL:
             raise NumericalError(
                 f"radial eigenpair p={p}, ell={ell} residual {res:.3e} above contract")

@@ -15,7 +15,7 @@ component of the exceedance set, signed by its extremal value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import NumericalError
 from .fv import Field, discrete_curl, discrete_gradient
 from .layout import slot_shifted
-from .mesh import RingMesh, triangle_shells
+from .mesh import triangle_shells
 
 # Fractional part of the winding quotient above which a density record is
 # demoted to unreliable: discrete phases never close exactly, but a defect
@@ -138,6 +138,12 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     shells around (band, slot, kind) are those around (band, 0, kind) shifted
     by slot along the periodic slot axis. One shell search per (band, kind)
     therefore confirms every candidate of that (band, kind) at once.
+
+    A candidate fails shell lam as soon as one member fails, so each open
+    candidate is first tested against the members of shell lam in its own
+    band, a few triangles, and only those that pass gather the full shell.
+    Candidates in a low-density region, such as the bands near a Dirichlet
+    wall, mostly fail there: their own band is as dilute as they are.
     """
     mesh = u.mesh
     dens = u.abs2()
@@ -157,9 +163,12 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
             # Shells past the graph boundary stay empty and confirm nothing.
             if open_.size == 0 or shells[lam].size == 0:
                 break
-            centers = candidates[open_]
-            ring = dens[slot_shifted(mesh, shells[lam], mesh.slot[centers])]
-            lam_of[open_[np.all(ring > dens[centers, None] + params.tol2, axis=1)]] = lam
+            shell = shells[lam]
+            for members in (shell[mesh.band[shell] == band], shell):
+                centers = candidates[open_]
+                ring = dens[slot_shifted(mesh, members, mesh.slot[centers])]
+                open_ = open_[np.all(ring > dens[centers, None] + params.tol2, axis=1)]
+            lam_of[open_] = lam
         balls[key] = np.concatenate(shells[1:])
 
     # Thin conflicting centers: scan by ascending (density, triangle) and drop
@@ -196,19 +205,25 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     return records
 
 
-def regularized_vorticity(u: Field, delta: float) -> Field:
-    """Curl of the saturated velocity Im(conj(u) grad u) / (|u|^2 + delta)."""
+def regularized_vorticity(u: Field, delta: float, bc: str = "dirichlet") -> Field:
+    """Curl of the saturated velocity Im(conj(u) grad u) / (|u|^2 + delta).
+
+    bc is the run's boundary condition, which the gradient sees at the walls.
+    """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    grad = discrete_gradient(u, "dirichlet")
+    grad = discrete_gradient(u, bc)
     velocity = (np.conj(u.values)[:, None] * grad).imag / (u.abs2() + delta)[:, None]
     return Field(u.mesh, discrete_curl(u.mesh, velocity))
 
 
-def pseudo_vorticity(u: Field) -> Field:
-    """Cross product grad(Re u) x grad(Im u), per triangle."""
-    gr = discrete_gradient(Field(u.mesh, u.values.real), "dirichlet")
-    gi = discrete_gradient(Field(u.mesh, u.values.imag), "dirichlet")
+def pseudo_vorticity(u: Field, bc: str = "dirichlet") -> Field:
+    """Cross product grad(Re u) x grad(Im u), per triangle.
+
+    bc is the run's boundary condition, which the gradients see at the walls.
+    """
+    gr = discrete_gradient(Field(u.mesh, u.values.real), bc)
+    gi = discrete_gradient(Field(u.mesh, u.values.imag), bc)
     return Field(u.mesh, gr[:, 0] * gi[:, 1] - gr[:, 1] * gi[:, 0])
 
 

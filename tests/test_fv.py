@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.fv import (
@@ -226,3 +229,106 @@ class TestCurl:
             discrete_curl(mesh, np.zeros((17, 2)))
         with pytest.raises(ValueError):
             discrete_curl(mesh, np.zeros(mesh.n_triangles))
+
+
+def add_at_gradient(u, bc):
+    """discrete_gradient as it scattered with np.add.at (test oracle)."""
+    mesh = u.mesh
+    vals = u.values
+    out = np.zeros((mesh.n_triangles, 2),
+                   dtype=np.complex128 if np.iscomplexobj(vals) else np.float64)
+    ie = mesh.interior_edges
+    k = mesh.edge_K[ie]
+    l = mesh.edge_L[ie]
+    t = mesh.edge_length[ie] / mesh.edge_d[ie]
+    jump = t * (vals[l] - vals[k])
+    mid = mesh.edge_mid[ie]
+    np.add.at(out, k, jump[:, None] * (mid - mesh.centers[k]))
+    np.add.at(out, l, -jump[:, None] * (mid - mesh.centers[l]))
+    if bc == "dirichlet":
+        be = mesh.boundary_edges
+        kb = mesh.edge_K[be]
+        tb = mesh.edge_length[be] / mesh.edge_d[be]
+        jump_b = -tb * vals[kb]
+        np.add.at(out, kb, jump_b[:, None] * (mesh.edge_mid[be] - mesh.centers[kb]))
+    out /= mesh.areas[:, None]
+    return out
+
+
+def add_at_curl(mesh, v):
+    """discrete_curl as it scattered with np.add.at (test oracle)."""
+    if v.shape[0] == mesh.n_edges:
+        v_edge = v
+    else:
+        v_edge = v[mesh.edge_K].copy()
+        ie = mesh.interior_edges
+        v_edge[ie] = 0.5 * (v[mesh.edge_K[ie]] + v[mesh.edge_L[ie]])
+    evec = mesh.vertices[mesh.edge_vertices[:, 1]] - mesh.vertices[mesh.edge_vertices[:, 0]]
+    s = np.sign(-mesh.edge_normal[:, 1] * evec[:, 0]
+                + mesh.edge_normal[:, 0] * evec[:, 1])
+    circ = s * np.einsum("ij,ij->i", v_edge, evec)
+    out = np.zeros(mesh.n_triangles,
+                   dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
+    np.add.at(out, mesh.edge_K, circ)
+    ie = mesh.interior_edges
+    np.add.at(out, mesh.edge_L[ie], -circ[ie])
+    out /= mesh.areas
+    return out
+
+
+# Small meshes: N_p even, odd and 3, down to a single band.
+SMALL_MESHES = {
+    "even": MeshParams(r_min=0.6, r_max=1.4, h=0.1, n_points=128),
+    "odd": MeshParams(r_min=0.6, r_max=1.4, h=0.2),
+    "three": MeshParams(r_min=0.6, r_max=1.4, h=0.2, n_circles=3, n_points=3),
+    "one band": MeshParams(r_min=0.6, r_max=1.4, h=0.2, n_circles=2, n_points=7),
+}
+
+
+@functools.cache
+def small_mesh(name):
+    return build_ring_mesh(SMALL_MESHES[name])
+
+
+def random_values(rng, shape, complex_):
+    # Magnitudes spread over many decades, with exact zeros of both signs.
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    v[rng.random(shape) < 0.05] = 0.0
+    v[rng.random(shape) < 0.05] = -0.0
+    if complex_:
+        v = v + 1j * random_values(rng, shape, False)
+    return v
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestScatterOracle:
+    """bincount scatters against the np.add.at ones they replace, bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SMALL_MESHES)), complex_=st.booleans(),
+           bc=st.sampled_from(["dirichlet", "neumann"]), seed=st.integers(0, 2**32 - 1))
+    def test_gradient(self, name, complex_, bc, seed):
+        mesh = small_mesh(name)
+        u = Field(mesh, random_values(np.random.default_rng(seed), mesh.n_triangles, complex_))
+        assert same_bits(discrete_gradient(u, bc), add_at_gradient(u, bc))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SMALL_MESHES)), complex_=st.booleans(),
+           per_edge=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_curl(self, name, complex_, per_edge, seed):
+        mesh = small_mesh(name)
+        n = mesh.n_edges if per_edge else mesh.n_triangles
+        v = random_values(np.random.default_rng(seed), (n, 2), complex_)
+        assert same_bits(discrete_curl(mesh, v), add_at_curl(mesh, v))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_desk_mesh(self, mesh, bc):
+        rng = np.random.default_rng(12)
+        for complex_ in (False, True):
+            u = random_field(mesh, rng, complex_)
+            grad = discrete_gradient(u, bc)
+            assert same_bits(grad, add_at_gradient(u, bc))
+            assert same_bits(discrete_curl(mesh, grad), add_at_curl(mesh, grad))

@@ -150,6 +150,22 @@ class TestPipeline:
         with pytest.raises(NumericalError, match="stage 'ground-state' failed: boom"):
             run_pipeline(tiny_cfg, tmp_path)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_vorticity_detectors_see_the_run_bc(self, tmp_path, monkeypatch, bc):
+        seen = []
+
+        def spy(detector):
+            def run(*args):
+                seen.append((detector.__name__, args[-1]))
+                return detector(*args)
+            return run
+
+        for name in ("regularized_vorticity", "pseudo_vorticity"):
+            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        cfg = parse_config(TINY + f"\n[physics]\nbc = {bc}\n")
+        run_pipeline(cfg, tmp_path, stages=("vortices",))
+        assert sorted(seen) == [("pseudo_vorticity", bc), ("regularized_vorticity", bc)]
+
     def test_flow_exhaustion_is_a_ground_state_failure(self, tmp_path):
         cfg = parse_config(TINY + "\n[flow]\nmax_iters = 1\n")
         with pytest.raises(NumericalError, match="stage 'ground-state'"):

@@ -1,0 +1,58 @@
+"""Every name a module of the package imports is referenced in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ringgpe
+
+PACKAGE = Path(ringgpe.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names never loaded in the module.
+
+    Names listed in a literal __all__ count as used.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a; "import a.b as c" and "from a import b" bind the alias.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) \
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_finds_modules():
+    assert {"vortex.py", "fv.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_sees_unused_and_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field as dataclass_field\n"
+        "from .mesh import RingMesh, triangle_shells\n"
+        "__all__ = ['triangle_shells']\n"
+        "x: np.ndarray = os.sep\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    pass\n"
+    )
+    assert unused_imports(source) == ["RingMesh (line 5)", "dataclass_field (line 4)"]

@@ -37,6 +37,25 @@ def brute_vertex_neighbors(triangles, t):
                   if u != t and verts & set(triangles[u]))
 
 
+def sliced_shells(mesh, center, max_lambda):
+    """triangle_shells with one CSR row slice per frontier triangle (test oracle)."""
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
+    visited = np.zeros(mesh.n_triangles, dtype=bool)
+    visited[center] = True
+    shells = [np.array([center], dtype=np.int64)]
+    frontier = shells[0]
+    for _ in range(max_lambda):
+        if frontier.size == 0:
+            shells.append(np.empty(0, dtype=np.int64))
+            continue
+        cand = np.unique(np.concatenate([indices[indptr[t]:indptr[t + 1]] for t in frontier]))
+        nxt = cand[~visited[cand]]
+        visited[nxt] = True
+        shells.append(nxt)
+        frontier = nxt
+    return shells
+
+
 def brute_shells(triangles, center, max_lam):
     """Independent BFS over the vertex-sharing graph."""
     seen = {center}
@@ -262,6 +281,16 @@ class TestShells:
         sizes = [s.size for s in shells]
         assert sum(sizes) == small_mesh.n_triangles
         assert sizes[-1] == 0
+
+    def test_match_per_triangle_slices(self, small_mesh):
+        # Every center, out to a graph exhausted several shells early.
+        depth = sum(s.size > 0 for s in triangle_shells(small_mesh, 0, 200)) + 2
+        for center in range(small_mesh.n_triangles):
+            got = triangle_shells(small_mesh, center, depth)
+            want = sliced_shells(small_mesh, center, depth)
+            assert len(got) == len(want) == depth + 1
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+            assert got[-1].size == 0
 
     def test_bad_center_rejected(self, small_mesh):
         with pytest.raises(ValueError):

@@ -197,7 +197,49 @@ class TestRadialOperator:
             radial_modes(0, 10, 11, prob)
 
 
+def csr_radial_modes(ell, P, n, problem):
+    """radial_modes reading its diagonals back from the CSR operator and
+    checking residuals with a CSR product (test oracle)."""
+    H = assemble_radial_operator(ell, n, problem)
+    dense_diag = H.diagonal()
+    sub = H.diagonal(-1)
+    sup = H.diagonal(1)
+    log_ratio = 0.5 * np.log(sub / sup)
+    d = np.exp(np.concatenate(([0.0], np.cumsum(log_ratio))))
+    off = -np.sqrt(sub * sup)
+    w, v = spectral.eigh_tridiagonal(dense_diag, off, select="i", select_range=(0, P))
+    vectors = np.zeros((P + 1, n + 1))
+    residuals = []
+    for p in range(P + 1):
+        phi = d * v[:, p]
+        phi /= np.linalg.norm(phi)
+        if phi[np.argmax(np.abs(phi))] < 0.0:
+            phi = -phi
+        residuals.append(np.linalg.norm(H @ phi - w[p] * phi))
+        vectors[p, 1:-1] = phi
+    return w.copy(), vectors, residuals
+
+
 class TestRadialModes:
+    @pytest.mark.parametrize("P,L,n,V0_", [(3, 80, 500, V0), (2, 12, 40, 0.0)])
+    def test_match_csr_path(self, P, L, n, V0_):
+        prob = RadialProblem(R_MIN, R_MAX, M_EFF, V0_)
+        for ell in range(L + 1):
+            lam, vecs = radial_modes(ell, P, n, prob)
+            want_lam, want_vecs, residuals = csr_radial_modes(ell, P, n, prob)
+            assert lam.tobytes() == want_lam.tobytes()
+            assert vecs.tobytes() == want_vecs.tobytes()
+            assert max(residuals) <= spectral.RESIDUAL_TOL
+
+    def test_residual_contract_enforced(self, monkeypatch):
+        # A perturbed eigenvalue must fail the tridiagonal residual check.
+        prob = RadialProblem(R_MIN, R_MAX, M_EFF, V0)
+        real = spectral.eigh_tridiagonal
+        monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                            lambda *a, **k: (lambda w, v: (w + 1e-6, v))(*real(*a, **k)))
+        with pytest.raises(spectral.NumericalError, match="residual"):
+            radial_modes(2, 3, 500, prob)
+
     def test_trap_ground_eigenvalue_matches_shooting_oracle(self):
         prob = RadialProblem(R_MIN, R_MAX, M_EFF, V0)
         lam, _ = radial_modes(0, 0, 500, prob)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ringgpe import vortex
 from ringgpe.errors import NumericalError
 from ringgpe.fv import Field
+from ringgpe.layout import slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation, triangle_shells
 from ringgpe.vortex import (
     METHOD_DENSITY,
@@ -57,13 +58,38 @@ def center_triangle(mesh, point):
     return int(np.argmin(d))
 
 
+def kept_records(u, kept):
+    """Density records of the kept (center, shell) pairs, as the detector builds them."""
+    mesh = u.mesh
+    dens = u.abs2()
+    records = []
+    for n, lam in kept:
+        try:
+            index, defect = vortex._unwound_shell_phase(u, n, lam)
+            reliable = defect <= WINDING_DEFECT_TOL and index != 0
+        except ValueError:
+            index, reliable = 0, False
+        records.append(VortexRecord(
+            triangle=n,
+            position=(float(mesh.centers[n, 0]), float(mesh.centers[n, 1])),
+            index_or_sign=index,
+            characteristic_length=lam,
+            method=METHOD_DENSITY,
+            extremum_value=float(dens[n]),
+            reliable=reliable,
+        ))
+    records.sort(key=lambda r: r.triangle)
+    return records
+
+
 def per_candidate_detect(u, params, stats=None):
     """The density detector with one shell search per candidate (test oracle).
 
     This is the detector before shell templates, kept verbatim apart from
-    the optional stats: the number of confirmed centers, whether some
-    candidate's search ran into empty shells, and whether some confirming
-    ball holds both slot 0 and slot N_p - 1 (it crosses or spans the seam).
+    the shared record building and the optional stats: the number of
+    confirmed centers, whether some candidate's search ran into empty
+    shells, and whether some confirming ball holds both slot 0 and slot
+    N_p - 1 (it crosses or spans the seam).
     """
     mesh = u.mesh
     dens = u.abs2()
@@ -94,24 +120,55 @@ def per_candidate_detect(u, params, stats=None):
         kept.append((n, lam))
         blocked[ball] = True
 
-    records = []
-    for n, lam in kept:
-        try:
-            index, defect = vortex._unwound_shell_phase(u, n, lam)
-            reliable = defect <= WINDING_DEFECT_TOL and index != 0
-        except ValueError:
-            index, reliable = 0, False
-        records.append(VortexRecord(
-            triangle=n,
-            position=(float(mesh.centers[n, 0]), float(mesh.centers[n, 1])),
-            index_or_sign=index,
-            characteristic_length=lam,
-            method=METHOD_DENSITY,
-            extremum_value=float(dens[n]),
-            reliable=reliable,
-        ))
-    records.sort(key=lambda r: r.triangle)
-    return records
+    return kept_records(u, kept)
+
+
+def full_shell_detect(u, params, stats=None):
+    """The template detector gathering every shell in full (test oracle).
+
+    This is the detector before the same-band pre-test, kept verbatim apart
+    from the shared record building and the optional stats: how many
+    (candidate, shell) tests the members in the candidate's own band
+    already fail.
+    """
+    mesh = u.mesh
+    dens = u.abs2()
+    candidates = np.flatnonzero(dens < params.tol1)
+
+    lam_of = np.zeros(candidates.size, dtype=np.int64)
+    balls = {}
+    group = 2 * mesh.band[candidates] + mesh.kind[candidates]
+    for key in np.unique(group):
+        in_group = np.flatnonzero(group == key)
+        band, kind = divmod(int(key), 2)
+        shells = triangle_shells(mesh, 2 * band * mesh.n_points + kind, params.lambda_max)
+        for lam in range(1, params.lambda_max + 1):
+            open_ = in_group[lam_of[in_group] == 0]
+            if open_.size == 0 or shells[lam].size == 0:
+                break
+            centers = candidates[open_]
+            ring = dens[slot_shifted(mesh, shells[lam], mesh.slot[centers])]
+            passed = np.all(ring > dens[centers, None] + params.tol2, axis=1)
+            lam_of[open_[passed]] = lam
+            if stats is not None:
+                own = mesh.band[shells[lam]] == band
+                stats["own_band_failures"] = stats.get("own_band_failures", 0) + int(
+                    np.count_nonzero(~np.all(ring[:, own] > dens[centers, None] + params.tol2,
+                                             axis=1)))
+        balls[key] = np.concatenate(shells[1:])
+
+    confirmed = np.flatnonzero(lam_of)
+    centers = candidates[confirmed]
+    kept = []
+    blocked = np.zeros(mesh.n_triangles, dtype=bool)
+    for i in confirmed[np.lexsort((centers, dens[centers]))]:
+        n = int(candidates[i])
+        if blocked[n]:
+            continue
+        kept.append((n, int(lam_of[i])))
+        blocked[slot_shifted(mesh, balls[group[i]], mesh.slot[[n]])] = True
+
+    return kept_records(u, kept)
 
 
 @lru_cache(maxsize=None)
@@ -303,6 +360,36 @@ class TestTemplateDetector:
         assert groups.size < cand.size
 
 
+class TestSameBandPreTest:
+    """The detector with the same-band pre-test against full-shell confirmation."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n_points=st.sampled_from([3, 4, 7, 63]), n_circles=st.integers(2, 10),
+           tol1=st.floats(0.01, 1.0), tol2=st.floats(1e-3, 1.0),
+           lambda_max=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_fields_match_full_shells(self, n_points, n_circles, tol1, tol2,
+                                             lambda_max, seed):
+        u = random_field(small_ring(n_circles, n_points), seed)
+        params = DetectionParams(tol1=tol1, tol2=tol2, lambda_max=lambda_max)
+        assert detect_by_density(u, params) == full_shell_detect(u, params)
+
+    @pytest.mark.parametrize("tol1", [0.1, 0.5])
+    def test_ground_state_wall_candidates(self, desk_ground_state, tol1):
+        # Cores planted in the Dirichlet ground state, whose wall bands give
+        # thousands of candidates with no contrast inside their own band.
+        gs = desk_ground_state.field
+        mesh = gs.mesh
+        zeros = [1.0 + 0j, 1j, -1.0 + 0j, -1j]
+        u = Field(mesh, gs.values * planted_state(mesh, zeros, [+1, -1, +1, -1]).values)
+        params = DetectionParams(tol1=tol1)
+        stats = {}
+        want = full_shell_detect(u, params, stats)
+        assert np.count_nonzero(u.abs2() < tol1) > 1000
+        assert stats["own_band_failures"] > 1000
+        assert len(want) == len(zeros)
+        assert detect_by_density(u, params) == want
+
+
 class TestWinding:
     def test_canonical_signs(self, mesh):
         z = mesh.centers[:, 0] + 1j * mesh.centers[:, 1]
@@ -401,6 +488,54 @@ class TestPseudoVorticity:
         w1 = pseudo_vorticity(Field(mesh, a + 1j * b))
         w2 = pseudo_vorticity(Field(mesh, b + 1j * a))
         assert np.abs(w1.values + w2.values).max() < 1e-12
+
+
+class TestBoundaryCondition:
+    """A superflow exp(i k theta) of unit modulus up to Neumann walls."""
+
+    K = 6
+
+    def superflow(self, mesh):
+        theta = np.arctan2(mesh.centers[:, 1], mesh.centers[:, 0])
+        return Field(mesh, np.exp(1j * self.K * theta))
+
+    def wall(self, mesh):
+        at_wall = np.zeros(mesh.n_triangles, dtype=bool)
+        at_wall[mesh.edge_K[mesh.boundary_edges]] = True
+        return at_wall
+
+    def test_neumann_wall_has_no_record(self, mesh):
+        u = self.superflow(mesh)
+        at_wall = self.wall(mesh)
+        # The flow is curl-free: the Neumann gradients keep the walls below
+        # the interior discretization error.
+        w = pseudo_vorticity(u, "neumann")
+        assert np.abs(w.values[at_wall]).max() < np.abs(w.values[~at_wall]).max()
+        assert detect_by_vorticity(w, DetectionParams().vort_threshold) == []
+
+    def test_regularized_vorticity_is_bc_blind(self, mesh):
+        # conj(u) u times a real vector is real, so the ghost value drops
+        # out of the velocity up to round-off.
+        u = self.superflow(mesh)
+        wd = regularized_vorticity(u, 0.1, "dirichlet").values
+        wn = regularized_vorticity(u, 0.1, "neumann").values
+        assert np.abs(wd - wn).max() <= 1e-12 * np.abs(wd).max()
+        assert detect_by_vorticity(Field(mesh, wn), DetectionParams().vort_threshold) == []
+
+    def test_dirichlet_ghost_makes_wall_records(self, mesh):
+        # The ghost value 0 of a Dirichlet gradient turns the tangential
+        # phase gradient at the walls into spurious vorticity.
+        u = self.superflow(mesh)
+        recs = detect_by_vorticity(pseudo_vorticity(u, "dirichlet"),
+                                   DetectionParams().vort_threshold)
+        assert recs
+        assert all(self.wall(mesh)[r.triangle] for r in recs)
+
+    def test_default_is_dirichlet(self, mesh):
+        u = planted_state(mesh, [1.0 + 0j], [+1])
+        assert np.array_equal(pseudo_vorticity(u).values, pseudo_vorticity(u, "dirichlet").values)
+        assert np.array_equal(regularized_vorticity(u, 0.1).values,
+                              regularized_vorticity(u, 0.1, "dirichlet").values)
 
 
 class TestVorticityDetector:
