@@ -75,8 +75,13 @@ def flow_potential(u: Field | np.ndarray, t: float, dt: float, params: Potential
         raise ValueError("an array needs the phase table of its points")
     else:
         values, points = u, table
-    phase = phase_integral(params, t, dt, points) + dt * gamma * (values.real**2 + values.imag**2)
-    out = values * np.exp(-1j * phase)
+    # exp(-i phase) as cos + i sin of the negated real phase, with no complex
+    # exponential and no complex temporary for the phase.
+    angle = -dt * gamma * (values.real**2 + values.imag**2) - phase_integral(params, t, dt, points)
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out *= values
     return Field(u.mesh, out) if isinstance(u, Field) else out
 
 

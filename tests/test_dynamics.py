@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringgpe import dynamics
 from ringgpe.dynamics import (
@@ -22,7 +24,7 @@ from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm, normalize
 from ringgpe.ground_state import GradientFlowConfig, compute_ground_state, energy
 from ringgpe.mesh import MeshParams, build_ring_mesh
-from ringgpe.potentials import PotentialParams, eval_trap, trap_field
+from ringgpe.potentials import PotentialParams, eval_trap, phase_integral, phase_table, trap_field
 
 M_EFF = 10.0
 V0 = 100.0
@@ -79,6 +81,25 @@ class TestPotentialFlow:
         w = flow_potential(u, 0.0, dt, free, GAMMA)
         expect = u.values * np.exp(-1j * dt * GAMMA * u.abs2())
         assert np.abs(w.values - expect).max() < 1e-14
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 3.0), dt=st.floats(1e-4, 1.0),
+           real=st.booleans())
+    def test_rotation_matches_complex_exponential(self, tiny, seed, t, dt, real):
+        # The rotation by cos and sin of the phase equals the product with
+        # exp(-i phase) to the last bit of each component.
+        mesh, _ = tiny
+        values = random_state(mesh, seed).values
+        if real:
+            values = values.real.copy()
+        table = phase_table(STIR, mesh.centers)
+        phase = phase_integral(STIR, t, dt, table) + dt * GAMMA * (values.real**2 + values.imag**2)
+        got = flow_potential(values, t, dt, STIR, GAMMA, table)
+        want = values * np.exp(-1j * phase)
+        assert got.dtype == np.complex128
+        ulp = np.spacing(np.abs(values))
+        assert np.all(np.abs(got.real - want.real) <= ulp)
+        assert np.all(np.abs(got.imag - want.imag) <= ulp)
 
     def test_half_steps_compose_to_full(self, tiny):
         # Adjacent half-flows fuse exactly because the modulus is invariant.

@@ -1,7 +1,9 @@
 """Slot-FFT solver: layout, symbol, the shifted-operator builder, differential
-tests against the stacked LAPACK solver and splu, the pivot guard, the
-mode-0 gradient flow against the full-mesh flow, and unitarity of the Cayley
-flow the solver drives."""
+tests against the stacked LAPACK solver and splu, the blocked sweep against
+the serial one, the pivot guard, the mode-0 gradient flow against the
+full-mesh flow, and unitarity of the Cayley flow the solver drives."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from ringgpe import dynamics, ground_state
+from ringgpe import dynamics, ground_state, layout
 from ringgpe.errors import NumericalError
 from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, make_unstable_state
 from ringgpe.fv import Field, assemble_laplacian, norm, normalize
@@ -104,6 +106,12 @@ def full_mesh_ground_state(trap, op, m, gamma, config):
 
 def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def solver_with_blocks(blocks, *args):
+    """SlotFFTSolver(*args) with its sweeps split into the given number of blocks."""
+    with mock.patch.object(layout, "sweep_blocks", lambda n_rows, n_slots: blocks):
+        return SlotFFTSolver(*args)
 
 
 class StackedGttrsSolver:
@@ -322,6 +330,44 @@ class TestSweep:
         # the pivots are the 1x1 ones.
         solver = SlotFFTSolver(small[bc], 1.0, -1j * tau / (4.0 * m))
         assert (1.0 / solver._inv_pivot).real.min() >= 1.0 - 1e-12
+
+
+class TestBlockedSweep:
+    def test_block_rule(self):
+        # Blocks only on sectors of at most BLOCKED_SWEEP_MAX_SLOTS slots:
+        # paper62's stir sector (82 rows, S = 81) and its static runs
+        # (S = 1) take 7 blocks of 12 rows (L - 1 + B - 1 = 17 steps, as
+        # for 9 of 10, with 2 padding rows instead of 8), the desk mesh's
+        # static runs (26 rows) 7 of 4; paper62's full mesh (S = 486) and
+        # the desk mesh's stir sector (S = 109) sweep serially.
+        limit = layout.BLOCKED_SWEEP_MAX_SLOTS
+        assert layout.sweep_blocks(82, 81) == layout.sweep_blocks(82, 1) == 7
+        assert layout.block_rows(82, 7) == 12
+        assert layout.sweep_blocks(26, 1) == 7 and layout.block_rows(26, 7) == 4
+        assert layout.sweep_blocks(82, 486) == layout.sweep_blocks(26, 109) == 1
+        assert layout.sweep_blocks(4, limit) == 2 and layout.sweep_blocks(4, limit + 1) == 1
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_nonfinite_rhs_leaves_no_state(self, mesh, blocks):
+        # A NaN or inf right-hand side poisons its own solution only: the
+        # next solve returns a fresh solver's bits, and no returned array
+        # shares memory with what a later solve writes.
+        op = assemble_laplacian(mesh, "dirichlet")
+        args = (op, *SOLVER_CASES["cayley"])
+        solver = solver_with_blocks(blocks, *args)
+        b = random_complex(mesh, 7)
+        first = solver.solve(b)
+        kept = first.copy()
+        for bad in (np.nan, np.inf, complex(np.inf, -np.inf)):
+            poisoned = b.copy()
+            poisoned[[0, 3, mesh.n_triangles - 1]] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not np.isfinite(solver.solve(poisoned)).all()
+            again = solver.solve(b)
+            assert np.array_equal(again, solver_with_blocks(blocks, *args).solve(b))
+            assert np.array_equal(again, kept)
+            assert not np.shares_memory(again, first)
+        assert np.array_equal(first, kept)
 
 
 class TestDifferential:

@@ -1,6 +1,7 @@
 """Rotation sectors: the folded operator, solve and fold rule over every
-divisor of N_p, and evolve on a sector against the unfused full-mesh
-strang_step for the set-ups of criteria 04, 06 and 07."""
+divisor of N_p, the blocked slot-mode sweep against the serial one and the
+LAPACK oracle on every sector, and evolve on a sector against the unfused
+full-mesh strang_step for the set-ups of criteria 04, 06 and 07."""
 
 import functools
 import math
@@ -24,6 +25,7 @@ from ringgpe.layout import (
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, phase_table
+from test_layout import SOLVER_CASES, StackedGttrsSolver, solver_with_blocks
 
 M_EFF = 10.0
 V0 = 100.0
@@ -106,6 +108,32 @@ class TestSectorProperties:
                             op.shifted(1.0, -z, fold), b, "sector solve")
         want = splu(op.shifted(1.0, -z).tocsc()).solve(tile(mesh, b, fold))
         assert rel(tile(mesh, got, fold), want) <= 1e-12
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name,fold", FOLDS)
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(case=st.sampled_from(sorted(SOLVER_CASES)), rhs=st.sampled_from(["real", "complex"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_sweep_matches_serial_and_stacked_gttrs(self, name, fold, bc, case, rhs,
+                                                             seed):
+        # Every block count from 1 (the serial sweep) to one block per row;
+        # most of them pad the last block. Unrefined, the sector solve of b
+        # is the sector of the full solve of b tiled, which the oracle gives.
+        op = operator(name, bc)
+        mesh = op.mesh
+        shift, scale = SOLVER_CASES[case]
+        n = sector(mesh, fold).size
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if rhs == "complex" else 0.0)
+        want = StackedGttrsSolver(op, shift, scale).solve(tile(mesh, b, fold))[sector(mesh, fold)]
+        serial = solver_with_blocks(1, op, shift, scale, fold).solve(b)
+        dtype = np.float64 if case == "real" and rhs == "real" else np.complex128
+        assert serial.dtype == dtype and rel(serial, want) <= 1e-13
+        for blocks in range(2, 2 * mesh.n_bands + 1):
+            got = solver_with_blocks(blocks, op, shift, scale, fold).solve(b)
+            assert got.dtype == dtype
+            assert rel(got, serial) <= 1e-13
+            assert rel(got, want) <= 1e-13
 
     @pytest.mark.parametrize("name,fold", FOLDS)
     @PROPERTY
