@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringgpe import io as rio
 from ringgpe.fv import Field
@@ -264,6 +267,159 @@ class TestExactBytes:
         with pytest.raises(ValueError, match="length"):
             rio.write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
 
+    @pytest.mark.parametrize("where", ["cell", "header"])
+    def test_refuses_non_ascii_before_opening(self, tmp_path, where):
+        # The offending cell is in the last row, so a writer that checked
+        # while writing would leave most of the table behind.
+        n = 5000
+        text = np.array(["plain"] * (n - 1) + ["caf\u00e9"])
+        header = ["i", "name"] if where == "cell" else ["i", "na\u00efve"]
+        if where == "header":
+            text[-1] = "plain"
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="ASCII"):
+            rio.write_csv(path, header, [np.arange(n), text])
+        assert not path.exists()
+
+
+def reference_csv(header, columns) -> bytes:
+    """A table's bytes by the per-cell rule: '%d' for integers, '%.17g' for
+    floats, '%s' for text, true/false for booleans."""
+    columns = [np.asarray(c) for c in columns]
+    rule = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+
+    def cell(value, kind):
+        return ("true" if value else "false") if kind == "b" else rule[kind] % value
+
+    rows = zip(*[c.tolist() for c in columns])
+    lines = [",".join(header)] + [
+        ",".join(cell(v, c.dtype.kind) for v, c in zip(row, columns)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def expected_text(values) -> list[bytes]:
+    return [rio.format_float(v).encode("ascii") for v in values]
+
+
+def kernel_text(values) -> list[bytes]:
+    """_float_text of the values, repeated up to the size the kernel takes."""
+    x = np.asarray(values, dtype=np.float64)
+    return rio._float_text(np.resize(x, max(x.size, rio._KERNEL_MIN_VALUES)))[:x.size]
+
+
+class TestFloatKernel:
+    """The vectorized float text against format_float, the '%.17g' reference."""
+
+    def test_integer_zeros_and_a_power_of_ten_from_below(self):
+        # 4000 keeps the zeros of its integer part and has no point; the
+        # double 1e-07 lies below 10^-7, so its exponent is -8.
+        assert kernel_text([4000.0, 1e-07]) == [b"4000", b"9.9999999999999995e-08"]
+
+    def test_every_binary_exponent(self):
+        # Zero, the smallest, a middle and the largest mantissa at each of
+        # the 2048 exponents, both signs: zeros, subnormals, nan and inf too.
+        mantissas = np.array([0, 1, 0x8000000000001, 2**52 - 1], dtype=np.uint64)
+        exponents = np.arange(2048, dtype=np.uint64) << np.uint64(52)
+        bits = (exponents[:, None] | mantissas).ravel()
+        x = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+        assert kernel_text(x) == expected_text(x)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        assert kernel_text(x) == expected_text(x)
+        assert kernel_text(-x) == expected_text(-x)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_random_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert kernel_text(x) == expected_text(x)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1023 - 40, 1023 + 56),
+                              st.integers(0, 2**52 - 1)), min_size=1, max_size=64))
+    def test_random_values_near_the_exact_range(self, parts):
+        # Sign, biased exponent and mantissa; the exponents cover
+        # 1e-11 < |x| < 1e16 and a little on either side.
+        bits = [(sign << 63) | (e << 52) | m for sign, e, m in parts]
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert kernel_text(x) == expected_text(x)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 16)), min_size=1,
+                    max_size=32))
+    def test_integer_values_ending_in_zeros(self, parts):
+        x = np.array([float(a * 10**z) for a, z in parts])
+        assert kernel_text(x) == expected_text(x)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_half_even_ties(self, data):
+        # t·2^(k-17) with t odd and 10^k <= x < 10^(k+1) puts x·10^(16-k)
+        # exactly halfway between two integers: the 17th digit is a tie.
+        k = data.draw(st.integers(-8, 15))
+        low = int(np.ceil(10.0**k * 2.0 ** (17 - k)))
+        high = min(int(10.0 ** (k + 1) * 2.0 ** (17 - k)), 2**53)
+        t = data.draw(st.integers(low // 2, (high - 1) // 2)) * 2 + 1
+        x = float(np.ldexp(float(t), k - 17))
+        if not 10.0**k <= x < 10.0 ** (k + 1):
+            return
+        assert (Fraction(x) * 10 ** (16 - k)).denominator == 2
+        assert kernel_text([x, -x]) == expected_text([x, -x])
+
+    def test_tables_match_the_per_cell_rule(self, tmp_path):
+        # Columns over several blocks: one taking the repeat path, one the
+        # kernel, one mixing values outside the exact range, float32 and
+        # integer-valued floats, next to integers, booleans and text.
+        n = 2 * rio._BLOCK_ROWS + 3
+        rng = np.random.default_rng(11)
+        repeated = np.resize(rng.standard_normal(82), n)
+        spread = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 18, n)
+        special = rng.choice(NASTY, n) * rng.choice([1.0, 1e-12, 1e8], n)
+        single = rng.standard_normal(n).astype(np.float32)
+        whole = np.round(rng.standard_normal(n) * 1e6) * 10.0 ** rng.integers(0, 6, n)
+        assert rio._repeated_float_text(repeated) is not None
+        assert rio._repeated_float_text(spread) is None
+        header = ["i", "repeated", "spread", "special", "single", "whole", "ok", "name"]
+        columns = [np.arange(n), repeated, spread, special, single, whole,
+                   rng.random(n) < 0.5, np.resize(["a", "bc"], n)]
+        path = rio.write_csv(tmp_path / "t.csv", header, columns)
+        assert path.read_bytes() == reference_csv(header, columns)
+
+    def test_desk_tables_match_the_per_cell_rule(self, desk_mesh, desk_ground_state,
+                                                 tmp_path, monkeypatch):
+        tables = []
+        write_csv = rio.write_csv
+
+        def recording(path, header, columns):
+            tables.append((write_csv(path, header, columns), header, columns))
+            return tables[-1][0]
+
+        monkeypatch.setattr(rio, "write_csv", recording)
+        rio.write_mesh_tables(tmp_path, desk_mesh)
+        rio.write_field_table(tmp_path / "ground_state.csv", desk_ground_state.field)
+        assert len(tables) == 4
+        for path, header, columns in tables:
+            assert path.read_bytes() == reference_csv(header, columns), path.name
+
+    def test_desk_vtk_matches_the_per_value_rule(self, desk_mesh, desk_ground_state, tmp_path):
+        # band and kind repeat; so does the slot-invariant ground state.
+        mesh = desk_mesh
+        data = {"band": mesh.band, "kind": mesh.kind, "area": mesh.areas,
+                **rio.field_cell_data(desk_ground_state.field)}
+        path = rio.write_legacy_vtk(tmp_path / "m.vtk", mesh, data, title="desk")
+        n = mesh.n_triangles
+        want = ["# vtk DataFile Version 3.0", "desk", "ASCII", "DATASET UNSTRUCTURED_GRID",
+                f"POINTS {mesh.n_vertices} double"]
+        want += [f"{rio.format_float(x)} {rio.format_float(y)} 0" for x, y in mesh.vertices]
+        want += [f"CELLS {n} {4 * n}"] + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+        want += [f"CELL_TYPES {n}"] + ["5"] * n + [f"CELL_DATA {n}"]
+        for name, values in data.items():
+            want += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            want += [rio.format_float(v) for v in values]
+        assert path.read_text(encoding="ascii") == "\n".join(want) + "\n"
+
 
 class TestTables:
     def test_mesh_tables_row_counts(self, mesh, tmp_path):
@@ -424,6 +580,12 @@ class TestVtk:
     def test_rejects_multiline_title(self, mesh, tmp_path):
         with pytest.raises(ValueError, match="single line"):
             rio.write_legacy_vtk(tmp_path / "s.vtk", mesh, title="a\nb")
+
+    def test_refuses_non_ascii_title_before_opening(self, mesh, tmp_path):
+        path = tmp_path / "s.vtk"
+        with pytest.raises(ValueError, match="ASCII"):
+            rio.write_legacy_vtk(path, mesh, title="\u00e9tat initial")
+        assert not path.exists()
 
 
 class TestManifest:
