@@ -10,8 +10,8 @@ from importlib import import_module
 _EXPORTS = {
     "mesh": (
         "MeshParams", "RingMesh", "AdmissibilityReport", "build_ring_mesh",
-        "compute_radii", "derive_mesh_counts", "rotation_permutation",
-        "triangle_shells", "verify_admissibility",
+        "compute_radii", "derive_mesh_counts", "triangle_shells",
+        "verify_admissibility",
     ),
     "fv": (
         "Field", "LaplacianOperator", "assemble_laplacian", "complex_pairing",
@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "dynamics": (
         "EvolveResult", "KineticFlow", "SplitStepConfig", "evolve",
-        "flow_kinetic", "flow_potential", "make_unstable_state",
-        "order_estimate", "strang_step",
+        "flow_potential", "make_unstable_state", "order_estimate",
+        "strang_step",
     ),
     "vortex": (
         "DetectionParams", "VortexRecord", "detect_by_density",
@@ -41,8 +41,8 @@ _EXPORTS = {
     "spectral": (
         "AnnulusEigenpair", "ModeBasis", "RadialProblem",
         "annulus_eigenfunction_field", "annulus_eigenpairs",
-        "assemble_radial_operator", "bessel_j", "bessel_y", "decompose",
-        "mode_basis", "radial_modes",
+        "assemble_radial_operator", "decompose", "mode_basis",
+        "radial_modes",
     ),
     "config": (
         "PRESET_NAMES", "RunConfig", "parse_config", "preset_config",

@@ -7,14 +7,18 @@ the phase flow for the remaining half:
     Phi(tau, t) = B(tau/2, t + tau/2) o A(tau) o B(tau/2, t).
 
 B multiplies by a pointwise phase (the exact time integral of the potential
-plus tau*gamma*|w|^2) and preserves every modulus; evolve tabulates the
-time-independent factors of that integral once (potentials.phase_table). A
-is unitary for the area-weighted inner product because A_T is self-adjoint
-for it; with M = I - z A_T it is applied as M^-1 (I + z A_T) u = 2 M^-1 u - u,
-so a step solves M x = u and needs no product with I + z A_T. Because B
-preserves moduli, the trailing half-B of one step and the leading half-B of
-the next fuse into a single full B, which the evolution loop exploits; the
-trailing half is applied to a copy whenever a snapshot is due.
+plus tau*gamma*|w|^2) and preserves every modulus. A is unitary for the
+area-weighted inner product because A_T is self-adjoint for it; with
+M = I - z A_T it is applied as M^-1 (I + z A_T) u = 2 M^-1 u - u, so a step
+solves M x = u and needs no product with I + z A_T. Because B preserves
+moduli, the trailing half-B of one step and the leading half-B of the next
+fuse into a single full B, which the evolution loop exploits; the trailing
+half is applied to a copy whenever a snapshot is due.
+
+Both flows map arrays to arrays: flow_potential the values at the points of
+a potentials.phase_table, which carries the potential's parameters and the
+time-independent factors of its integral there; KineticFlow the values of
+its sector. evolve builds the table and the flow once, for its sector.
 
 Both flows commute with every rotation that maps the mesh and the potential
 onto themselves. evolve therefore runs on the rotation sector that the
@@ -58,31 +62,21 @@ class SplitStepConfig:
         return j
 
 
-def flow_potential(u: Field | np.ndarray, t: float, dt: float, params: PotentialParams,
-                   gamma: float, table: PhaseTable | None = None) -> Field | np.ndarray:
+def flow_potential(u: np.ndarray, t: float, dt: float, table: PhaseTable,
+                   gamma: float) -> np.ndarray:
     """Exact phase flow of the potential + nonlinear part over [t, t+dt].
 
-    w -> exp(-i [integral_t^{t+dt} V ds + dt gamma |w|^2]) w; the modulus of
-    every entry is preserved exactly. u is a Field, or an array of values at
-    the points table was built at; the result is of the same kind. table, a
-    phase_table of params, saves recomputing the potential's factors on
-    every call; without it a Field's circumcenters are used.
+    w -> exp(-i [integral_t^{t+dt} V ds + dt gamma |w|^2]) w at the points of
+    table, with V its potential; every modulus is preserved exactly.
     """
-    if isinstance(u, Field):
-        values = u.values
-        points = u.mesh.centers if table is None else table
-    elif table is None:
-        raise ValueError("an array needs the phase table of its points")
-    else:
-        values, points = u, table
     # exp(-i phase) as cos + i sin of the negated real phase, with no complex
     # exponential and no complex temporary for the phase.
-    angle = -dt * gamma * (values.real**2 + values.imag**2) - phase_integral(params, t, dt, points)
+    angle = -dt * gamma * (u.real**2 + u.imag**2) - phase_integral(table, t, dt)
     out = np.empty(angle.shape, dtype=np.complex128)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
-    out *= values
-    return Field(u.mesh, out) if isinstance(u, Field) else out
+    out *= u
+    return out
 
 
 class KineticFlow:
@@ -94,30 +88,19 @@ class KineticFlow:
     fold) and reused across steps; every solve is refined and checked
     against the residual contract on M = op.shifted(1, -z, fold).
 
-    With fold k > 1 the flow acts on the sector arrays of fields repeating
-    every N_p/k slots; with k = 1 it acts on Fields of op's mesh as well as
-    on their value arrays. apply returns what it is given.
+    apply maps the values of a field's sector (layout.sector; at fold 1,
+    of every triangle) to those of its image.
     """
 
     def __init__(self, op: LaplacianOperator, tau: float, m: float, fold: int = 1):
         if tau <= 0.0 or m <= 0.0:
             raise ValueError("tau and m must be positive")
-        self.op = op
         self.tau = tau
-        self.m = m
-        self.fold = fold
         z = 1j * tau / (4.0 * m)
         self._minus = op.shifted(1.0, -z, fold)
         self._solver = SlotFFTSolver(op, 1.0, -z, fold)
 
-    def apply(self, u: Field | np.ndarray) -> Field | np.ndarray:
-        if not isinstance(u, Field):
-            return self._step(u)
-        if u.mesh is not self.op.mesh or self.fold != 1:
-            raise ValueError("a Field must live on the operator's mesh, with fold 1")
-        return Field(u.mesh, self._step(u.values))
-
-    def _step(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray) -> np.ndarray:
         if u.shape != (self._minus.shape[0],):
             raise ValueError(f"expected {self._minus.shape[0]} sector values, got shape {u.shape}")
         v = u.astype(np.complex128, copy=False)
@@ -125,23 +108,17 @@ class KineticFlow:
         return 2.0 * x - v
 
 
-def flow_kinetic(u: Field, tau: float, m: float, op: LaplacianOperator) -> Field:
-    """One-shot kinetic flow (factorizes; use KineticFlow for repeated steps)."""
-    return KineticFlow(op, tau, m).apply(u)
-
-
-def strang_step(u: Field, t: float, kinetic: KineticFlow, params: PotentialParams,
-                gamma: float) -> Field:
+def strang_step(u: np.ndarray, t: float, kinetic: KineticFlow, table: PhaseTable,
+                gamma: float) -> np.ndarray:
     """One unfused splitting step over [t, t + tau].
 
-    evolve fuses the half-flows of neighbouring steps on its sector; this
-    is the plain composition on the whole mesh (a Field and a fold-1
-    kinetic flow) that it is tested against.
+    The plain composition that evolve, which fuses neighbouring half-flows,
+    is tested against; u, kinetic and table belong to one sector.
     """
     tau = kinetic.tau
-    w = flow_potential(u, t, 0.5 * tau, params, gamma)
+    w = flow_potential(u, t, 0.5 * tau, table, gamma)
     w = kinetic.apply(w)
-    return flow_potential(w, t + 0.5 * tau, 0.5 * tau, params, gamma)
+    return flow_potential(w, t + 0.5 * tau, 0.5 * tau, table, gamma)
 
 
 @dataclass
@@ -205,7 +182,7 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
 
     emit(0, Field(mesh, u0.values.astype(np.complex128)))
 
-    psi = flow_potential(u0.values[in_sector], 0.0, 0.5 * tau, params, gamma, table)
+    psi = flow_potential(u0.values[in_sector], 0.0, 0.5 * tau, table, gamma)
     for j in range(1, n_steps + 1):
         try:
             psi = kinetic.apply(psi)
@@ -218,10 +195,10 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
         t_half = (j - 0.5) * tau
         if j < n_steps:
             if stride and j % stride == 0:
-                emit(j, tiled(flow_potential(psi, t_half, 0.5 * tau, params, gamma, table)))
-            psi = flow_potential(psi, t_half, tau, params, gamma, table)
+                emit(j, tiled(flow_potential(psi, t_half, 0.5 * tau, table, gamma)))
+            psi = flow_potential(psi, t_half, tau, table, gamma)
         else:
-            psi = flow_potential(psi, t_half, 0.5 * tau, params, gamma, table)
+            psi = flow_potential(psi, t_half, 0.5 * tau, table, gamma)
 
     final = tiled(psi)
     emit(n_steps, final)

@@ -50,11 +50,13 @@ __all__ = [
     "write_manifest",
 ]
 
-_VTK_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_VTK_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 _FLOAT_FORMAT = "%.17g"
 # Rows per joined write: bounds the text held in memory for a large table.
 _BLOCK_ROWS = 4096
+# Bytes read per hash update: bounds the memory of hashing a large file.
+_HASH_CHUNK = 1 << 20
 
 
 def format_float(x: float) -> str:
@@ -417,7 +419,7 @@ def write_legacy_vtk(path, mesh: RingMesh, cell_data: Mapping[str, np.ndarray] |
     if cell_data:
         parts.append([b"CELL_DATA %d\n" % n_cells])
     for name, values in (cell_data or {}).items():
-        if not _VTK_NAME.match(name):
+        if not _VTK_NAME.fullmatch(name):
             raise ValueError(f"invalid VTK array name {name!r}")
         values = np.asarray(values)
         if values.shape != (n_cells,) or values.dtype.kind not in "fiu":
@@ -428,7 +430,11 @@ def write_legacy_vtk(path, mesh: RingMesh, cell_data: Mapping[str, np.ndarray] |
 
 
 def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir, files: Iterable[Path], config_text: str,

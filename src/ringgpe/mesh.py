@@ -373,16 +373,6 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
     return shells
 
 
-def rotation_permutation(mesh: RingMesh) -> np.ndarray:
-    """Triangle permutation realized by rotating the mesh by 2*pi/N_p.
-
-    perm[i] is the index of the triangle that triangle i lands on. A field U
-    respects the rotational symmetry iff U[perm] == U up to round-off.
-    """
-    n_p = mesh.n_points
-    return 2 * (mesh.band * n_p + (mesh.slot + 1) % n_p) + mesh.kind
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     max_angle: float

@@ -85,24 +85,17 @@ def phase_table(params: PotentialParams, points) -> PhaseTable:
     return PhaseTable(params, trap, trap * np.cos(phase), trap * np.sin(phase))
 
 
-def phase_integral(params: PotentialParams, t: float, dt: float,
-                   points: PhaseTable | np.ndarray) -> np.ndarray:
-    """Exact integral_0^dt V(t + s, x) ds at raw points or a phase_table.
+def phase_integral(table: PhaseTable, t: float, dt: float) -> np.ndarray:
+    """Exact integral_0^dt V(t + s, x) ds at the points table was built at.
 
-    The trap contributes V_pot dt. For |omega| > OMEGA_STATIC_TOL the
-    stirrer integrates to V_p V_pot [cos(n th - omega (t+dt)) - cos(n th -
-    omega t)] / omega, which angle addition turns into
-    (V_p / omega) [(cos omega (t+dt) - cos omega t) V_pot cos(n th)
+    The potential is table.params. The trap contributes V_pot dt. For
+    |omega| > OMEGA_STATIC_TOL the stirrer integrates to V_p V_pot [cos(n th
+    - omega (t+dt)) - cos(n th - omega t)] / omega, which angle addition
+    turns into (V_p / omega) [(cos omega (t+dt) - cos omega t) V_pot cos(n th)
     + (sin omega (t+dt) - sin omega t) V_pot sin(n th)]; below that
-    threshold it is static and contributes V_p V_pot sin(n th) dt. A table
-    must have been built from params.
+    threshold it is static and contributes V_p V_pot sin(n th) dt.
     """
-    if isinstance(points, PhaseTable):
-        table = points
-        if table.params != params:
-            raise ValueError("phase table was built for other potential parameters")
-    else:
-        table = phase_table(params, points)
+    params = table.params
     out = table.trap * dt
     if params.V_p != 0.0:
         w = params.omega

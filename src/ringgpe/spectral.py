@@ -38,22 +38,6 @@ RESIDUAL_TOL = 1e-8
 SLOT_GEOMETRY_TOL = 1e-10
 
 
-def bessel_j(order: int, x) -> np.ndarray:
-    """First-kind Bessel function of integer order >= 0."""
-    if not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise ValueError("order must be a nonnegative integer")
-    return jv(order, x)
-
-
-def bessel_y(order: int, x) -> np.ndarray:
-    """Second-kind Bessel function of integer order >= 0, x > 0 only."""
-    if not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise ValueError("order must be a nonnegative integer")
-    if np.any(np.asarray(x) <= 0.0):
-        raise ValueError("second-kind Bessel function requires x > 0")
-    return yv(order, x)
-
-
 @dataclass(frozen=True)
 class AnnulusEigenpair:
     """One Dirichlet Laplacian eigenvalue of the ring with its mixing weight.

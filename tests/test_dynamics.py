@@ -14,7 +14,6 @@ from ringgpe.dynamics import (
     KineticFlow,
     SplitStepConfig,
     evolve,
-    flow_kinetic,
     flow_potential,
     make_unstable_state,
     order_estimate,
@@ -59,18 +58,18 @@ def random_state(mesh, seed=0):
 class TestPotentialFlow:
     def test_modulus_preserved(self, tiny):
         mesh, _ = tiny
-        u = random_state(mesh, 1)
-        w = flow_potential(u, 0.2, 0.01, STIR, GAMMA)
-        assert np.abs(np.abs(w.values) - np.abs(u.values)).max() < 1e-15
+        u = random_state(mesh, 1).values
+        w = flow_potential(u, 0.2, 0.01, phase_table(STIR, mesh.centers), GAMMA)
+        assert np.abs(np.abs(w) - np.abs(u)).max() < 1e-15
 
     def test_static_linear_phase(self, tiny):
         # gamma = 0, no stirrer: w = exp(-i V_pot dt) u exactly.
         mesh, _ = tiny
-        u = random_state(mesh, 2)
+        u = random_state(mesh, 2).values
         dt = 0.037
-        w = flow_potential(u, 1.3, dt, STATIC, 0.0)
-        expect = u.values * np.exp(-1j * eval_trap(STATIC, mesh.centers) * dt)
-        assert np.abs(w.values - expect).max() < 1e-14
+        w = flow_potential(u, 1.3, dt, phase_table(STATIC, mesh.centers), 0.0)
+        expect = u * np.exp(-1j * eval_trap(STATIC, mesh.centers) * dt)
+        assert np.abs(w - expect).max() < 1e-14
 
     def test_nonlinear_phase(self, tiny):
         # V0 = 0: pure nonlinear phase dt * gamma * |u|^2.
@@ -78,9 +77,9 @@ class TestPotentialFlow:
         free = PotentialParams(m=M_EFF, V0=0.0)
         u = random_state(mesh, 3)
         dt = 0.01
-        w = flow_potential(u, 0.0, dt, free, GAMMA)
+        w = flow_potential(u.values, 0.0, dt, phase_table(free, mesh.centers), GAMMA)
         expect = u.values * np.exp(-1j * dt * GAMMA * u.abs2())
-        assert np.abs(w.values - expect).max() < 1e-14
+        assert np.abs(w - expect).max() < 1e-14
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 3.0), dt=st.floats(1e-4, 1.0),
@@ -93,8 +92,8 @@ class TestPotentialFlow:
         if real:
             values = values.real.copy()
         table = phase_table(STIR, mesh.centers)
-        phase = phase_integral(STIR, t, dt, table) + dt * GAMMA * (values.real**2 + values.imag**2)
-        got = flow_potential(values, t, dt, STIR, GAMMA, table)
+        phase = phase_integral(table, t, dt) + dt * GAMMA * (values.real**2 + values.imag**2)
+        got = flow_potential(values, t, dt, table, GAMMA)
         want = values * np.exp(-1j * phase)
         assert got.dtype == np.complex128
         ulp = np.spacing(np.abs(values))
@@ -104,30 +103,31 @@ class TestPotentialFlow:
     def test_half_steps_compose_to_full(self, tiny):
         # Adjacent half-flows fuse exactly because the modulus is invariant.
         mesh, _ = tiny
-        u = random_state(mesh, 4)
+        u = random_state(mesh, 4).values
+        table = phase_table(STIR, mesh.centers)
         t = 0.11
         tau = 0.004
         two_halves = flow_potential(
-            flow_potential(u, t, 0.5 * tau, STIR, GAMMA),
-            t + 0.5 * tau, 0.5 * tau, STIR, GAMMA)
-        full = flow_potential(u, t, tau, STIR, GAMMA)
-        assert np.abs(two_halves.values - full.values).max() < 1e-13
+            flow_potential(u, t, 0.5 * tau, table, GAMMA),
+            t + 0.5 * tau, 0.5 * tau, table, GAMMA)
+        full = flow_potential(u, t, tau, table, GAMMA)
+        assert np.abs(two_halves - full).max() < 1e-13
 
 
 class TestKineticFlow:
     def test_norm_preserved_single(self, tiny):
         mesh, op = tiny
         u = random_state(mesh, 5)
-        w = flow_kinetic(u, 6e-4, M_EFF, op)
-        assert abs(norm(w) - 1.0) < 1e-10
+        w = KineticFlow(op, 6e-4, M_EFF).apply(u.values)
+        assert abs(norm(Field(mesh, w)) - 1.0) < 1e-10
 
     def test_norm_drift_over_1000_steps(self, tiny):
         mesh, op = tiny
         flow = KineticFlow(op, 6e-4, M_EFF)
-        u = random_state(mesh, 6)
+        u = random_state(mesh, 6).values
         for _ in range(1000):
             u = flow.apply(u)
-        assert abs(norm(u) - 1.0) < 1e-8
+        assert abs(norm(Field(mesh, u)) - 1.0) < 1e-8
 
     def test_cayley_phase_on_eigenvector(self, tiny):
         # A_T phi = -lambda phi => flow multiplies phi by the unit-modulus
@@ -140,32 +140,32 @@ class TestKineticFlow:
         lam, vec = w[0], v[:, 0] / s
         phi = normalize(Field(mesh, vec.astype(np.complex128)))
         tau = 0.01
-        out = flow_kinetic(phi, tau, M_EFF, op)
+        out = KineticFlow(op, tau, M_EFF).apply(phi.values)
         z = tau * lam / (4.0 * M_EFF)
         factor = (1.0 - 1j * z) / (1.0 + 1j * z)
-        assert np.abs(out.values - factor * phi.values).max() < 1e-9
+        assert np.abs(out - factor * phi.values).max() < 1e-9
 
     def test_neumann_constant_is_fixed_point(self, tiny):
         mesh, _ = tiny
         opn = assemble_laplacian(mesh, "neumann")
         u = normalize(Field.constant(mesh, 1.0 + 0j))
-        w = flow_kinetic(u, 0.01, M_EFF, opn)
-        assert np.abs(w.values - u.values).max() < 1e-10
+        w = KineticFlow(opn, 0.01, M_EFF).apply(u.values)
+        assert np.abs(w - u.values).max() < 1e-10
 
     def test_zero_field_maps_to_zero(self, tiny):
         mesh, op = tiny
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = KineticFlow(op, 6e-4, M_EFF).apply(Field.constant(mesh, 0j))
-        assert not np.any(w.values)
+            w = KineticFlow(op, 6e-4, M_EFF).apply(np.zeros(mesh.n_triangles, complex))
+        assert not np.any(w)
 
     def test_validation(self, tiny):
         mesh, op = tiny
         with pytest.raises(ValueError):
             KineticFlow(op, -0.1, M_EFF)
         other = build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.3))
-        with pytest.raises(ValueError):
-            KineticFlow(op, 0.01, M_EFF).apply(Field.constant(other, 1.0))
+        with pytest.raises(ValueError, match="sector values"):
+            KineticFlow(op, 0.01, M_EFF).apply(np.ones(other.n_triangles, complex))
 
 
 class TestEvolve:
@@ -176,17 +176,18 @@ class TestEvolve:
         cfg = SplitStepConfig(tau=6e-4, t_max=0.06, snapshot_stride=25)
         r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA, cfg)
         kinetic = KineticFlow(op, cfg.tau, M_EFF)
-        psi = tiny_gs
+        table = phase_table(STIR, mesh.centers)
+        psi = tiny_gs.values
         snapshots = [psi]
         for j in range(1, cfg.n_steps + 1):
-            psi = strang_step(psi, (j - 1) * cfg.tau, kinetic, STIR, GAMMA)
+            psi = strang_step(psi, (j - 1) * cfg.tau, kinetic, table, GAMMA)
             if j % cfg.snapshot_stride == 0 or j == cfg.n_steps:
                 snapshots.append(psi)
-        assert np.abs(r.final.values - psi.values).max() < 1e-12
+        assert np.abs(r.final.values - psi).max() < 1e-12
         assert np.allclose(r.times, [0.0, 0.015, 0.03, 0.045, 0.06], rtol=0, atol=1e-15)
         assert len(r.snapshots) == len(snapshots)
         for a, b in zip(r.snapshots, snapshots):
-            assert np.abs(a.values - b.values).max() < 1e-12
+            assert np.abs(a.values - b).max() < 1e-12
 
     def test_emission_schedule(self, tiny, tiny_gs):
         mesh, op = tiny
@@ -249,11 +250,10 @@ class TestEvolve:
         mesh, op = tiny
         tau = 0.002
         kin = KineticFlow(op, tau, M_EFF)
-        one = strang_step(Field(mesh, tiny_gs.values.astype(complex)), 0.0,
-                          kin, STIR, GAMMA)
+        one = strang_step(tiny_gs.values, 0.0, kin, phase_table(STIR, mesh.centers), GAMMA)
         r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA,
                    SplitStepConfig(tau=tau, t_max=tau))
-        assert np.abs(one.values - r.final.values).max() < 1e-13
+        assert np.abs(one - r.final.values).max() < 1e-13
 
 
 class TestSpanContract:

@@ -14,7 +14,8 @@ from ringgpe.ground_state import (
     gradient_flow_step,
     residual_criterion,
 )
-from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation
+from ringgpe.layout import slot_shifted
+from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, trap_field
 
 M_EFF = 10.0
@@ -191,7 +192,8 @@ class TestDeskGroundState:
         assert np.all(np.diff(res.energies) < 0)
 
     def test_rotational_symmetry(self, desk_mesh, desk_ground_state):
-        perm = rotation_permutation(desk_mesh)
+        # Rotation by 2*pi/N_p moves every triangle one slot on.
+        perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
         vals = desk_ground_state.field.values
         assert np.abs(vals[perm] - vals).max() < 1e-6
 

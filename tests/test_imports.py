@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is referenced in that module."""
+"""Every name a module of the package imports is referenced in that module,
+and every name the package exports is defined where its export table says."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,32 @@ def unused_imports(source: str) -> list[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def top_level_names(source: str) -> set[str]:
+    """Functions, classes and assigned names at the top level of a module."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ringgpe.__all__ if not hasattr(ringgpe, name)]
+    assert missing == []
+
+
+def test_exports_are_defined_in_their_module():
+    # A name deleted from its module must leave the lazy export table too,
+    # and a name that a module merely imports must be exported from its home.
+    stray = [f"{module}.{name}" for module, names in ringgpe._EXPORTS.items()
+             for name in names
+             if name not in top_level_names((PACKAGE / f"{module}.py").read_text())]
+    assert stray == []
 
 
 def test_finds_modules():

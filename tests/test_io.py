@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -563,9 +564,11 @@ class TestVtk:
         assert "CELL_DATA" not in path.read_text()
 
     def test_rejects_bad_array_name(self, mesh, cfield, tmp_path):
-        with pytest.raises(ValueError, match="name"):
-            rio.write_legacy_vtk(tmp_path / "s.vtk", mesh,
-                                 {"has space": cfield.values.real})
+        # A trailing newline would end the SCALARS line early.
+        for name in ("has space", "re\n"):
+            with pytest.raises(ValueError, match="name"):
+                rio.write_legacy_vtk(tmp_path / "s.vtk", mesh,
+                                     {name: cfield.values.real})
 
     def test_rejects_wrong_length(self, mesh, tmp_path):
         with pytest.raises(ValueError, match="per triangle"):
@@ -601,6 +604,14 @@ class TestManifest:
             target = tmp_path / entry["path"]
             assert rio.sha256_of(target) == entry["sha256"]
             assert target.stat().st_size == entry["bytes"]
+
+    def test_hash_of_file_over_one_chunk(self, tmp_path):
+        # sha256_of reads in chunks; a file of two and a half chunks hashes
+        # as its whole bytes do.
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(5 * rio._HASH_CHUNK // 2))
+        doc = json.loads(rio.write_manifest(tmp_path, [path], "").read_text())
+        assert doc["files"][0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_paths_sorted_and_deduplicated(self, mesh, tmp_path):
         a = rio.write_csv(tmp_path / "b.csv", ["x"], [[1]])

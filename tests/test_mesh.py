@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
+from ringgpe.layout import slot_shifted
 from ringgpe.mesh import (
     MeshParams,
     build_ring_mesh,
     compute_radii,
     derive_mesh_counts,
-    rotation_permutation,
     triangle_shells,
     verify_admissibility,
     _increment_profile,
@@ -205,7 +205,8 @@ class TestGeometry:
         assert int(round(d01)) % 2 == 1  # odd multiple: half a spacing
 
     def test_rotation_invariance(self, desk_mesh):
-        perm = rotation_permutation(desk_mesh)
+        # Rotation by 2*pi/N_p moves every triangle one slot on.
+        perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
         assert np.array_equal(np.sort(perm), np.arange(desk_mesh.n_triangles))
         c = 2 * math.pi / desk_mesh.n_points
         rot = np.array([[math.cos(c), -math.sin(c)], [math.sin(c), math.cos(c)]])

@@ -87,7 +87,7 @@ class TestPhaseIntegral:
     def test_matches_quadrature(self, t, dt):
         # Oracle: adaptive numeric quadrature of the time-dependent potential.
         pts = np.array([[1.05, 0.2], [0.7, -0.6], [-1.2, 0.1]])
-        got = phase_integral(PARAMS, t, dt, pts)
+        got = phase_integral(phase_table(PARAMS, pts), t, dt)
         for i, p in enumerate(pts):
             want, err = quad(lambda s: eval_total(PARAMS, t + s, p[None, :])[0],
                              0.0, dt, epsabs=1e-13, epsrel=1e-13)
@@ -97,14 +97,14 @@ class TestPhaseIntegral:
         p_small = PotentialParams(m=10.0, V0=100.0, V_p=0.05, n_theta=6, omega=1e-13)
         p_zero = PotentialParams(m=10.0, V0=100.0, V_p=0.05, n_theta=6, omega=0.0)
         pts = np.array([[1.1, 0.4], [0.8, -0.2]])
-        a = phase_integral(p_small, 0.5, 0.01, pts)
-        b = phase_integral(p_zero, 0.5, 0.01, pts)
+        a = phase_integral(phase_table(p_small, pts), 0.5, 0.01)
+        b = phase_integral(phase_table(p_zero, pts), 0.5, 0.01)
         assert np.abs(a - b).max() < 1e-12
 
     def test_static_branch_matches_quadrature(self):
         p_zero = PotentialParams(m=10.0, V0=100.0, V_p=0.05, n_theta=6, omega=0.0)
         pts = np.array([[1.1, 0.4]])
-        got = phase_integral(p_zero, 0.2, 0.05, pts)
+        got = phase_integral(phase_table(p_zero, pts), 0.2, 0.05)
         want, _ = quad(lambda s: eval_total(p_zero, 0.2 + s, pts[0][None, :])[0],
                        0.0, 0.05, epsabs=1e-13, epsrel=1e-13)
         assert got[0] == pytest.approx(want, abs=1e-12)
@@ -112,7 +112,7 @@ class TestPhaseIntegral:
     def test_no_stirrer_reduces_to_trap(self):
         p = PotentialParams(m=10.0, V0=100.0)
         pts = np.array([[1.3, -0.1], [0.61, 0.0]])
-        got = phase_integral(p, 0.9, 0.02, pts)
+        got = phase_integral(phase_table(p, pts), 0.9, 0.02)
         assert np.allclose(got, eval_trap(p, pts) * 0.02, rtol=1e-14)
 
 
@@ -160,15 +160,8 @@ class TestPhaseTable:
         for t in np.linspace(0.0, PAPER62.split.t_max, 25):
             for dt in (tau, 0.5 * tau):
                 want = direct_phase_integral(params, t, dt, paper62_centers)
-                from_table = phase_integral(params, t, dt, table)
-                from_points = phase_integral(params, t, dt, paper62_centers)
-                assert np.abs(from_table - want).max() <= 1e-14
-                assert np.array_equal(from_points, from_table)
-
-    def test_table_is_tied_to_its_parameters(self, paper62_centers):
-        table = phase_table(TABLE_CASES["rotating"], paper62_centers)
-        with pytest.raises(ValueError, match="other potential parameters"):
-            phase_integral(TABLE_CASES["negative-omega"], 0.0, 1e-3, table)
+                got = phase_integral(table, t, dt)
+                assert np.abs(got - want).max() <= 1e-14
 
 
 class TestFieldHelpers:

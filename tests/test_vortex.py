@@ -9,7 +9,7 @@ from ringgpe import vortex
 from ringgpe.errors import NumericalError
 from ringgpe.fv import Field
 from ringgpe.layout import slot_shifted
-from ringgpe.mesh import MeshParams, build_ring_mesh, rotation_permutation, triangle_shells
+from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
 from ringgpe.vortex import (
     METHOD_DENSITY,
     WINDING_DEFECT_TOL,
@@ -328,9 +328,8 @@ class TestTemplateDetector:
                                          + 1j * rng.standard_normal(z.size))
         for zi, ci in zip(zeros, (+1, -1, +1)):
             vals = vals * sat_vortex(z, zi, ci, xi=0.1)
-        perm = np.arange(ring.n_triangles)
-        for _ in range(shift):
-            perm = rotation_permutation(ring)[perm]
+        # Rotation by shift * 2*pi/N_p moves every triangle shift slots on.
+        perm = slot_shifted(ring, np.arange(ring.n_triangles), [shift])[0]
         rotated = np.empty_like(vals)
         rotated[perm] = vals
         params = DetectionParams(tol1=0.3, tol2=0.05, lambda_max=3)
