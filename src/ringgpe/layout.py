@@ -48,7 +48,9 @@ if TYPE_CHECKING:
 # Smallest pivot, relative to the 1-norm of its row, that the unpivoted
 # slot-mode factorization accepts. A smaller one would amplify round-off by
 # more than 1/PIVOT_TOL in one elimination step, beyond what the single
-# refinement step of ground_state.checked_solve is meant to absorb.
+# refinement step of ground_state.checked_solve is meant to absorb (the
+# Cayley flow refines with the identity, which corrects no solver error
+# in modes where |z lambda| >= 1).
 PIVOT_TOL = 1e-8
 
 # Sectors of at most this many slots sweep their slot modes in blocks
@@ -234,9 +236,12 @@ class SlotFFTSolver:
     falls below PIVOT_TOL of its row's 1-norm.
 
     The assembled matrix departs from exact slot invariance by round-off, so
-    callers refine against it (ground_state.checked_solve with
-    op.shifted(shift, scale, fold)). The result is real when shift, scale
-    and b are.
+    callers refine once against it (ground_state.checked_solve with
+    op.shifted(shift, scale, fold)); the residual that step forms also
+    carries the round-off of the FFTs and sweeps. The Cayley flow applies
+    the identity to it instead of a second solve (dynamics.KineticFlow).
+    Each solve returns a new array, so callers may update it in place. The
+    result is real when shift, scale and b are.
     """
 
     def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1):

@@ -175,9 +175,40 @@ class TestCheckedSolve:
                           self.MAT, self.RHS, "diag")
         assert np.abs(self.MAT @ x - self.RHS).max() < 1e-12
 
+    def test_identity_refine_contracts_by_theta(self):
+        # With mat = I - i diag(theta), I - mat = i diag(theta): the identity
+        # as refine multiplies the error, and with it the residual, by theta
+        # in each component. A solve off by 1e-7 leaves the residual 1e-7 rhs.
+        rhs = self.RHS.astype(complex)
+        for theta, passes in ((np.array([1e-4, 2e-4, 4e-4]), True),
+                              (np.array([0.1, 0.2, 0.4]), False)):
+            mat = np.eye(3) - 1j * np.diag(theta)
+
+            def solve(b):
+                return (1 + 1e-7) * b / np.diag(mat)
+
+            before = np.linalg.norm(mat @ solve(rhs) - rhs)
+            factor = np.linalg.norm(theta * rhs) / np.linalg.norm(rhs)
+            assert factor <= theta.max()
+            if passes:
+                x = checked_solve(solve, mat, rhs, "diag", refine=lambda r: r)
+                after = np.linalg.norm(mat @ x - rhs)
+                assert after / before == pytest.approx(factor, rel=1e-3)
+            else:
+                # 0.339e-7 left: refused, with the refined residual named.
+                with pytest.raises(NumericalError, match="diag residual 3.39"):
+                    checked_solve(solve, mat, rhs, "diag", refine=lambda r: r)
+
     def test_nan_residual_fails(self):
         with pytest.raises(NumericalError, match="diag residual nan"):
             checked_solve(lambda b: np.full_like(b, np.nan), self.MAT, self.RHS, "diag")
+
+    def test_nan_refine_fails(self):
+        # The solve is exact; only the refinement spoils x, so the check
+        # runs on the refined x.
+        with pytest.raises(NumericalError, match="diag residual nan"):
+            checked_solve(lambda b: b / np.diag(self.MAT), self.MAT, self.RHS, "diag",
+                          refine=lambda r: np.full_like(r, np.nan))
 
     def test_zero_rhs_gives_zero(self):
         x = checked_solve(lambda b: b / 0.0, self.MAT, np.zeros(3, complex), "diag")

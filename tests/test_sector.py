@@ -1,6 +1,7 @@
 """Rotation sectors: the folded operator, solve and fold rule over every
 divisor of N_p, the blocked slot-mode sweep against the serial one and the
-LAPACK oracle on every sector, and evolve on a sector against the unfused
+LAPACK oracle on every sector, the one-solve kinetic step against the
+two-solve one it replaced, and evolve on a sector against the unfused
 full-mesh strang_step for the set-ups of criteria 04, 06 and 07."""
 
 import functools
@@ -12,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, strang_step
+from ringgpe.dynamics import (
+    KineticFlow,
+    SplitStepConfig,
+    evolve,
+    make_unstable_state,
+    strang_step,
+)
 from ringgpe.fv import Field, assemble_laplacian
-from ringgpe.ground_state import checked_solve
+from ringgpe.ground_state import GradientFlowConfig, checked_solve, compute_ground_state
 from ringgpe.layout import (
     SlotFFTSolver,
     invariant_fold,
@@ -179,6 +186,56 @@ class TestFoldedFlows:
                        random_sector(mesh, 3, 4)[None, :]):
             with pytest.raises(ValueError, match="sector values"):
                 flow.apply(values)
+
+
+class TestKineticRefinement:
+    """KineticFlow.apply refines its one slot-FFT solve with the identity
+    against the path it replaced, a second solve: 2 checked_solve(...) - u."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("state", ["unstable", "stirred"])
+    def test_matches_solve_refined_path_over_300_steps(self, desk_mesh, desk_trap, bc, state,
+                                                       monkeypatch):
+        tau = 6e-4
+        op = assemble_laplacian(desk_mesh, bc)
+        gs = compute_ground_state(desk_trap, op, M_EFF, GAMMA,
+                                  GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
+        assert gs.converged
+        if state == "unstable":
+            u, fold = make_unstable_state(gs.field).values, 1
+        else:
+            u = gs.field.values
+            fold = invariant_fold(desk_mesh, u, math.gcd(STIR.n_theta, desk_mesh.n_points))
+            assert fold > 1
+        in_sector = sector(desk_mesh, fold)
+        u = u[in_sector].astype(np.complex128)
+        areas = desk_mesh.areas[in_sector]
+        z = 1j * tau / (4.0 * M_EFF)
+        minus = op.shifted(1.0, -z, fold)
+        solver = SlotFFTSolver(op, 1.0, -z, fold)
+        flow = KineticFlow(op, tau, M_EFF, fold)
+
+        calls = []
+        solve = SlotFFTSolver.solve
+
+        def counted(self, b):
+            calls.append(b.shape)
+            return solve(self, b)
+
+        monkeypatch.setattr(SlotFFTSolver, "solve", counted)
+        got = flow.apply(u)
+        assert calls == [u.shape]
+        monkeypatch.undo()
+
+        want = u
+        for _ in range(300):
+            want = 2.0 * checked_solve(solver.solve, minus, want, "reference") - want
+        for _ in range(299):
+            got = flow.apply(got)
+        assert rel(got, want) <= 1e-13
+        mass0 = np.sum(areas * np.abs(u) ** 2)
+        for w in (got, want):
+            assert abs(np.sum(areas * np.abs(w) ** 2) - mass0) / mass0 <= 1e-14
 
 
 class TestFoldedAgainstFull:
