@@ -6,7 +6,8 @@ numpy loads, so this module must import nothing numerical at top level.
 The command then runs under scipy.fft.set_workers of the same count, which
 the environment variables do not reach.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error or unusable output directory,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def _run(args) -> int:
         return _fail(2, f"config error: {exc}")
     except NumericalError as exc:
         return _fail(3, f"numerical failure: {exc}")
+    except OSError as exc:
+        return _fail(2, f"cannot write output: {exc}")
 
     print(f"wrote {len(result.files)} file(s) + manifest to {out_dir}")
     return 0

@@ -49,7 +49,7 @@ class SplitStepConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.t_max <= 0.0:
+        if not (self.tau > 0.0 and self.t_max > 0.0):
             raise ValueError("tau and t_max must be positive")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
@@ -87,11 +87,11 @@ class KineticFlow:
     """Cayley flow (I - i tau/(4m) A_T)^(-1) (I + i tau/(4m) A_T).
 
     With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
-    a step is one solve M x = u and returns 2x - u. The slot-mode
-    factorization (layout.SlotFFTSolver) is done once per (operator, tau, m,
-    fold) and reused across steps. Every solve is refined once against
-    M = op.shifted(1, -z, fold) and checked against the residual contract
-    on it (ground_state.checked_solve). The refinement uses the identity as
+    a step is one solve M x = u and returns 2x - u. The flow holds one
+    layout.SlotFFTSolver(op, 1, -z, fold), factored once and reused across
+    steps; every solve is refined once against its matrix, M on the sector,
+    and checked against the residual contract on it
+    (ground_state.checked_solve). The refinement uses the identity as
     its approximate inverse, x += u - M x: since I - M = z A_T, the error
     in each eigenmode of A_T shrinks by |z lambda|, which is small in the
     modes a smooth state lives in. A step thus makes one slot-FFT solve and
@@ -102,18 +102,18 @@ class KineticFlow:
     """
 
     def __init__(self, op: LaplacianOperator, tau: float, m: float, fold: int = 1):
-        if tau <= 0.0 or m <= 0.0:
+        if not (tau > 0.0 and m > 0.0):
             raise ValueError("tau and m must be positive")
         self.tau = tau
         z = 1j * tau / (4.0 * m)
-        self._minus = op.shifted(1.0, -z, fold)
         self._solver = SlotFFTSolver(op, 1.0, -z, fold)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if u.shape != (self._minus.shape[0],):
-            raise ValueError(f"expected {self._minus.shape[0]} sector values, got shape {u.shape}")
+        minus = self._solver.matrix
+        if u.shape != (minus.shape[0],):
+            raise ValueError(f"expected {minus.shape[0]} sector values, got shape {u.shape}")
         v = u.astype(np.complex128, copy=False)
-        x = checked_solve(self._solver.solve, self._minus, v, "kinetic solve", _identity)
+        x = checked_solve(self._solver.solve, minus, v, "kinetic solve", _identity)
         # x is the solver's own new array, so 2x - v can overwrite it.
         x *= 2.0
         x -= v

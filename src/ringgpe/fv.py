@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import sector_laplacian, slot_symbol
+from .layout import slot_symbol
 from .mesh import RingMesh
 
 _BCS = ("dirichlet", "neumann")
@@ -109,25 +109,6 @@ class LaplacianOperator:
     def slot_symbol(self) -> np.ndarray:
         """Per-slot-mode tridiagonal symbol of A_T; see layout.slot_symbol."""
         return slot_symbol(self.mesh, self.A_T)
-
-    def shifted(self, shift, scale: complex, fold: int = 1) -> sp.csr_matrix:
-        """diag(shift) + scale A_T as a CSR matrix on A_T's index arrays.
-
-        shift is a scalar or per triangle. Each row of A_T stores its
-        diagonal (every triangle has an interior edge), so this scales the
-        data and adds shift to the diagonal entries. The result shares
-        A_T's indices and indptr: do not change its pattern in place.
-
-        With fold k, A_T is that of fields repeating every N_p/k slots, a
-        matrix on their sectors (layout.sector_laplacian, which is A_T
-        itself for k = 1), and a per-triangle shift is one per sector
-        triangle.
-        """
-        A_T = self.A_T if fold == 1 else sector_laplacian(self, fold)
-        rows = np.repeat(np.arange(A_T.shape[0]), np.diff(A_T.indptr))
-        data = np.multiply(scale, A_T.data, dtype=np.result_type(scale, shift, A_T.data))
-        data[A_T.indices == rows] += shift
-        return sp.csr_matrix((data, A_T.indices, A_T.indptr), shape=A_T.shape)
 
 
 def assemble_laplacian(mesh: RingMesh, bc: str = "dirichlet") -> LaplacianOperator:

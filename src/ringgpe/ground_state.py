@@ -67,7 +67,7 @@ class GradientFlowConfig:
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.kappa0 <= 0.0 or self.epsilon <= 0.0:
+        if not (self.kappa0 > 0.0 and self.epsilon > 0.0):
             raise ValueError("kappa0 and epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

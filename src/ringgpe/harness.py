@@ -20,7 +20,7 @@ from . import io as out_io
 from .config import INITIAL_UNSTABLE, RunConfig, serialize_config
 from .dynamics import EvolveResult, SplitStepConfig, evolve, make_unstable_state, order_estimate
 from .errors import ConfigError, NumericalError
-from .fv import Field, assemble_laplacian, norm
+from .fv import Field, LaplacianOperator, assemble_laplacian, norm
 from .ground_state import GroundStateResult, compute_ground_state
 from .mesh import AdmissibilityReport, MeshParams, RingMesh, build_ring_mesh, verify_admissibility
 from .potentials import PotentialParams, trap_field
@@ -123,17 +123,15 @@ def run_time_convergence(config: RunConfig, out_dir) -> TimeConvergenceResult:
     compares the final states at steps 2 tau, tau, tau / 2. Trajectories are
     shared between neighboring k, matching the estimator's definition.
     """
-    mesh = build_ring_mesh(config.mesh)
-    op = assemble_laplacian(mesh, config.bc)
-    params = PotentialParams(m=config.potential.m, V0=config.potential.V0)
-    gs = compute_ground_state(trap_field(params, mesh), op, params.m,
-                              config.gamma, config.flow)
+    op = assemble_laplacian(build_ring_mesh(config.mesh), config.bc)
+    with _stage("ground-state"):
+        static, gs = _ground_state(config, op)
 
     t_max = config.time_t_max
     finals: dict[int, Field] = {}
     for e in range(config.time_k_min - 1, config.time_k_max + 2):
         split = SplitStepConfig(tau=t_max / 2 ** e, t_max=t_max)
-        finals[e] = evolve(gs.field, op, params, params.m, config.gamma,
+        finals[e] = evolve(gs.field, op, static, static.m, config.gamma,
                            split, keep_snapshots=False).final
 
     rows: list[tuple[int, float, float]] = []
@@ -190,6 +188,18 @@ def _stage(name: str):
         raise NumericalError(f"stage {name!r} failed: {exc}") from None
 
 
+def _ground_state(config: RunConfig,
+                  op: LaplacianOperator) -> tuple[PotentialParams, GroundStateResult]:
+    """The static potential of config and its ground state on op; raises if not converged."""
+    static = PotentialParams(m=config.potential.m, V0=config.potential.V0)
+    gs = compute_ground_state(trap_field(static, op.mesh), op, static.m,
+                              config.gamma, config.flow)
+    if not gs.converged:
+        raise NumericalError(
+            f"gradient flow missed the residual target in {gs.iterations} iterations")
+    return static, gs
+
+
 @dataclass
 class PipelineResult:
     stages: tuple[str, ...]
@@ -241,13 +251,8 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
         return result
 
     op = assemble_laplacian(mesh, config.bc)
-    static = PotentialParams(m=config.potential.m, V0=config.potential.V0)
     with _stage("ground-state"):
-        gs = compute_ground_state(trap_field(static, mesh), op, static.m,
-                                  config.gamma, config.flow)
-        if not gs.converged:
-            raise NumericalError(
-                f"gradient flow missed the residual target in {gs.iterations} iterations")
+        static, gs = _ground_state(config, op)
         result.ground_state = gs
         files.append(out_io.write_field_table(out_dir / "ground_state.csv", gs.field))
         files.append(out_io.write_flow_history_table(

@@ -4,7 +4,7 @@ Triangle 2*(band*N_p + slot) + kind reshapes to an (n_bands, N_p, 2) array
 whose slot axis is periodic. The mesh is invariant under rotation by
 2*pi/N_p, so the Laplacian A_T is block-circulant along that axis (Davis,
 Circulant Matrices, 1979): an FFT over slots splits a system
-(diag(shift) + scale A_T) x = b into N_p independent systems, one per slot
+(shift I + scale A_T) x = b into N_p independent systems, one per slot
 mode, each coupling the 2*n_bands (band, kind) unknowns of that mode.
 
 Kind 0 couples only to kind 1 of its own band and of the band above, kind 1
@@ -21,7 +21,7 @@ A field that repeats every N_p/k slots (k divides N_p) is determined by its
 sector, the first S = N_p/k slots, and its slot FFT vanishes off the modes
 q = 0 (mod k). Every slot-invariant operator maps such fields to such
 fields, so it acts on the sector alone: SlotFFTSolver solves on the modes
-q = k p by a length-S FFT of the sector, and sector_laplacian wraps the
+q = k p by a length-S FFT of the sector, and sector_matrix wraps the
 columns of the sector's rows into the sector. For k = 1 the sector is the
 whole mesh and folding and tiling are identities. The gradient flow lives
 in mode 0 (k = N_p), one value per (band, kind) (mode0_rows).
@@ -47,10 +47,10 @@ if TYPE_CHECKING:
 
 # Smallest pivot, relative to the 1-norm of its row, that the unpivoted
 # slot-mode factorization accepts. A smaller one would amplify round-off by
-# more than 1/PIVOT_TOL in one elimination step, beyond what the single
-# refinement step of ground_state.checked_solve is meant to absorb (the
-# Cayley flow refines with the identity, which corrects no solver error
-# in modes where |z lambda| >= 1).
+# more than 1/PIVOT_TOL in one elimination step, beyond what one refinement
+# step against SlotFFTSolver.matrix (ground_state.checked_solve) is meant to
+# absorb; the Cayley flow refines with the identity, which corrects no
+# solver error in modes where |z lambda| >= 1.
 PIVOT_TOL = 1e-8
 
 # Sectors of at most this many slots sweep their slot modes in blocks
@@ -136,29 +136,39 @@ def invariant_fold(mesh: RingMesh, values: np.ndarray, k0: int) -> int:
     return 1
 
 
-def sector_laplacian(op: LaplacianOperator, fold: int) -> sp.csr_matrix:
-    """op.A_T on fields repeating every N_p/fold slots, as a matrix on their sectors.
+def sector_matrix(op: LaplacianOperator, shift: complex, scale: complex,
+                  fold: int = 1) -> sp.csr_matrix:
+    """shift I + scale A_T as a CSR matrix on the sectors of fields repeating every N_p/fold slots.
 
-    Assembled as A_T is, diag(1/area) A, from the sector's rows of the flux
-    form A with each column wrapped into the sector, then symmetrized: for
-    sector values x, the result times x is the sector of A_T tile(x) up to
-    round-off. The mesh repeats under rotation only to round-off, so the
-    wrapped rows alone are symmetric only to ~1e-13 on paper62;
-    symmetrized, the result is self-adjoint for the sector's areas as A_T
-    is for the mesh's, and a Cayley step on it keeps the mass as well. For
-    fold 1 this reproduces op.A_T bit for bit.
+    shift and scale are scalars. The sector's A_T is assembled as A_T is,
+    diag(1/area) A, from the sector's rows of the flux form A with their
+    columns wrapped into the sector, so that A_T tile(x) is tiled from its
+    product with x up to round-off. The mesh repeats under rotation only to
+    round-off, so those rows are symmetric only to ~1e-13 on paper62; they
+    are symmetrized, which keeps the sector's A_T self-adjoint for the
+    sector's areas and a Cayley step on it mass-preserving. At fold 1 it is
+    A_T bit for bit, and the result shares A_T's indices and indptr: do not
+    change its pattern in place.
     """
+    if np.ndim(shift) or np.ndim(scale):
+        raise ValueError("shift and scale must be scalars")
     mesh = op.mesh
-    n_p, n_s = mesh.n_points, sector_slots(mesh, fold)
-    rows = op.A.tocsr()[sector(mesh, fold)]
-    band_slot = rows.indices // 2
-    cols = 2 * (band_slot // n_p * n_s + band_slot % n_p % n_s) + rows.indices % 2
-    a = sp.csr_matrix((rows.data, cols, rows.indptr), shape=(rows.shape[0],) * 2)
-    a.sum_duplicates()  # for S <= 2 a row meets the same sector slot twice
-    a = ((a + a.T) * 0.5).tocsr()
-    a_t = (sp.diags(1.0 / mesh.areas[sector(mesh, fold)]) @ a).tocsr()
-    a_t.sort_indices()
-    return a_t
+    a_t = op.A_T
+    if fold != 1:
+        n_p, n_s = mesh.n_points, sector_slots(mesh, fold)
+        flux = op.A.tocsr()[sector(mesh, fold)]
+        band_slot = flux.indices // 2
+        cols = 2 * (band_slot // n_p * n_s + band_slot % n_p % n_s) + flux.indices % 2
+        a = sp.csr_matrix((flux.data, cols, flux.indptr), shape=(flux.shape[0],) * 2)
+        a.sum_duplicates()  # for S <= 2 a row meets the same sector slot twice
+        a = ((a + a.T) * 0.5).tocsr()
+        a_t = (sp.diags(1.0 / mesh.areas[sector(mesh, fold)]) @ a).tocsr()
+        a_t.sort_indices()
+    # Every row stores its diagonal: every triangle has an interior edge.
+    rows = np.repeat(np.arange(a_t.shape[0]), np.diff(a_t.indptr))
+    data = np.multiply(scale, a_t.data, dtype=np.result_type(scale, shift, a_t.data))
+    data[a_t.indices == rows] += shift
+    return sp.csr_matrix((data, a_t.indices, a_t.indptr), shape=a_t.shape)
 
 
 def mode0_rows(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
@@ -235,22 +245,19 @@ class SlotFFTSolver:
     the factorization raises NumericalError when a pivot is not finite or
     falls below PIVOT_TOL of its row's 1-norm.
 
-    The assembled matrix departs from exact slot invariance by round-off, so
-    callers refine once against it (ground_state.checked_solve with
-    op.shifted(shift, scale, fold)); the residual that step forms also
-    carries the round-off of the FFTs and sweeps. The Cayley flow applies
-    the identity to it instead of a second solve (dynamics.KineticFlow).
-    Each solve returns a new array, so callers may update it in place. The
-    result is real when shift, scale and b are.
+    The assembled system, matrix = sector_matrix(op, shift, scale, fold),
+    departs from exact slot invariance by round-off, so callers refine once
+    against it (ground_state.checked_solve(solver.solve, solver.matrix,
+    ...)); the residual that step forms also carries the round-off of the
+    FFTs and sweeps. The Cayley flow applies the identity to it instead of
+    a second solve (dynamics.KineticFlow). Each solve returns a new complex
+    array, so callers may update it in place.
     """
 
     def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1):
-        if np.ndim(shift) or np.ndim(scale):
-            raise ValueError("shift and scale must be scalars")
-        mesh = op.mesh
-        self.mesh = mesh
+        self.matrix = sector_matrix(op, shift, scale, fold)
+        mesh = self.mesh = op.mesh
         self.n_slots = sector_slots(mesh, fold)
-        self._real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
         # Rows j, modes along the second axis. Row 0 has no lower and the
         # last row no upper neighbour: nothing lies below band 0 or above
         # the last band.
@@ -335,7 +342,4 @@ class SlotFFTSolver:
             np.add(end, tmp[0], out=end)
         work[:, :-1] += gain * carry
         by_band = work.reshape(size // 2, 2, blocks, n_slots).transpose(2, 0, 3, 1)[..., ::-1]
-        x = scipy.fft.ifft(by_band, axis=2).reshape(-1)[:2 * n_bands * n_slots]
-        if self._real and not np.iscomplexobj(b):
-            return x.real.copy()
-        return x
+        return scipy.fft.ifft(by_band, axis=2).reshape(-1)[:2 * n_bands * n_slots]

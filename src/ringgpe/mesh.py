@@ -47,7 +47,7 @@ class MeshParams:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
-        if self.h <= 0.0:
+        if not self.h > 0.0:
             raise ValueError("h must be positive")
 
 
@@ -60,7 +60,7 @@ def derive_mesh_counts(h: float, r_min: float, r_max: float) -> tuple[int, int]:
     """
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("h must be positive")
     n_c = math.ceil((r_max - r_min) / h)
     n_p = math.ceil(POINT_COUNT_FACTOR * n_c / (1.0 - r_min / r_max))

@@ -36,7 +36,7 @@ class PotentialParams:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0.0:
+        if not self.m > 0.0:
             raise ValueError("m must be positive")
         if not 0.0 <= self.V_p <= 1.0:
             raise ValueError("V_p must lie in [0, 1]")
@@ -49,10 +49,15 @@ def _radius_angle(points):
     return r, theta
 
 
+def trap_profile(r, m: float, V0: float) -> np.ndarray:
+    """The trap as a function of radius, -V0 exp(-2 m (r - 1)^2); minimum -V0 on r = 1."""
+    return -V0 * np.exp(-2.0 * m * (r - 1.0) ** 2)
+
+
 def eval_trap(params: PotentialParams, points) -> np.ndarray:
-    """Static trap V_pot(r) = -V0 exp(-2 m (r - 1)^2); minimum -V0 on r = 1."""
+    """Static trap V_pot(r) = trap_profile(r, m, V0) at points."""
     r, _ = _radius_angle(points)
-    return -params.V0 * np.exp(-2.0 * params.m * (r - 1.0) ** 2)
+    return trap_profile(r, params.m, params.V0)
 
 
 def eval_rotating(params: PotentialParams, t: float, points) -> np.ndarray:

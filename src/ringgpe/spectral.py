@@ -30,6 +30,7 @@ from .errors import NumericalError
 from .fv import Field, norm
 from .layout import slot_defect, slot_view
 from .mesh import RingMesh
+from .potentials import trap_profile
 
 ROOT_XTOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -137,7 +138,7 @@ class RadialProblem:
             raise ValueError("need 0 < r_min < r_max")
         if not self.m > 0.0:
             raise ValueError("m must be positive")
-        if self.V0 < 0.0:
+        if not self.V0 >= 0.0:
             raise ValueError("V0 must be nonnegative")
 
     def grid(self, n: int) -> np.ndarray:
@@ -153,8 +154,7 @@ def _radial_diagonals(ell: int, n: int,
     r = problem.grid(n)[1:-1]
     h = (problem.r_max - problem.r_min) / n
     inv2m = 1.0 / (2.0 * problem.m)
-    diag = inv2m * (2.0 / h ** 2 + ell ** 2 / r ** 2) \
-        - problem.V0 * np.exp(-2.0 * problem.m * (r - 1.0) ** 2)
+    diag = inv2m * (2.0 / h ** 2 + ell ** 2 / r ** 2) + trap_profile(r, problem.m, problem.V0)
     sub = -inv2m * (1.0 / h ** 2 - 1.0 / (2.0 * h * r[1:]))
     sup = -inv2m * (1.0 / h ** 2 + 1.0 / (2.0 * h * r[:-1]))
     return sub, diag, sup

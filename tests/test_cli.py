@@ -135,6 +135,16 @@ class TestConfigErrors:
         assert scipy.fft.get_workers() == default
 
 
+class TestOutputErrors:
+    def test_out_path_is_a_file(self, tiny_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert cli.main(["mesh", "--config", tiny_path, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ringgpe: cannot write output: ") and "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
+
+
 class TestNumericalFailure:
     def test_maps_to_exit_3(self, tiny_path, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):

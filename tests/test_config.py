@@ -13,7 +13,10 @@ from ringgpe.config import (
     preset_text,
     serialize_config,
 )
+from ringgpe.dynamics import KineticFlow, SplitStepConfig
 from ringgpe.errors import ConfigError
+from ringgpe.fv import assemble_laplacian
+from ringgpe.ground_state import GradientFlowConfig
 from ringgpe.mesh import (
     MAX_TRIANGLES,
     POINT_COUNT_FACTOR,
@@ -22,6 +25,8 @@ from ringgpe.mesh import (
     derive_mesh_counts,
     verify_admissibility,
 )
+from ringgpe.potentials import PotentialParams
+from ringgpe.spectral import RadialProblem
 
 MINIMAL = """
 [mesh]
@@ -109,6 +114,23 @@ BAD_CONFIGS = [
      "line 7: [harness] time_k_max must lie in [2, 20], got 21"),
 ]
 
+NAN = float("nan")
+
+# Constructors whose sign check must refuse NaN, which passes x <= 0 and x < 0.
+NAN_PARAMETERS = {
+    "MeshParams h": lambda: MeshParams(r_min=0.6, r_max=1.4, h=NAN),
+    "derive_mesh_counts h": lambda: derive_mesh_counts(NAN, 0.6, 1.4),
+    "GradientFlowConfig kappa0": lambda: GradientFlowConfig(kappa0=NAN),
+    "GradientFlowConfig epsilon": lambda: GradientFlowConfig(epsilon=NAN),
+    "PotentialParams m": lambda: PotentialParams(m=NAN, V0=100.0),
+    "SplitStepConfig tau": lambda: SplitStepConfig(tau=NAN, t_max=1.0),
+    "SplitStepConfig t_max": lambda: SplitStepConfig(tau=0.1, t_max=NAN),
+    "RadialProblem V0": lambda: RadialProblem(r_min=0.6, r_max=1.4, m=10.0, V0=NAN),
+    "KineticFlow tau": lambda: KineticFlow(
+        assemble_laplacian(build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2))),
+        NAN, 10.0),
+}
+
 # Mesh parameters over MINIMAL's, acute and not, in both radius families.
 MESH_OVERRIDES = [
     {},
@@ -140,6 +162,11 @@ class TestDiagnostics:
         else:
             with pytest.raises(ConfigError, match="not acute"):
                 parse_config(text)
+
+    @pytest.mark.parametrize("name", sorted(NAN_PARAMETERS))
+    def test_nan_parameter_refused(self, name):
+        with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
+            NAN_PARAMETERS[name]()
 
     def test_duplicate_key_in_reopened_section(self):
         text = MINIMAL + "[physics]\nm = 5\n[mesh]\nh = 0.2\n"

@@ -235,6 +235,13 @@ class TestTimeConvergence:
         assert len(calls) == tiny_cfg.time_k_max - tiny_cfg.time_k_min + 3
         assert (tmp_path / "time_convergence.csv").exists()
 
+    def test_unconverged_ground_state_is_refused(self, tmp_path):
+        # The study starts from the same checked ground state as the pipeline.
+        cfg = parse_config(TINY + "\n[flow]\nmax_iters = 1\n")
+        with pytest.raises(NumericalError, match="stage 'ground-state'"):
+            run_time_convergence(cfg, tmp_path)
+        assert not (tmp_path / "time_convergence.csv").exists()
+
     def test_linear_control_is_second_order(self, tmp_path):
         # gamma = 0, V = 0: the kinetic rational flow supplies the entire
         # error, and its phase defect scales exactly like tau^2.

@@ -1,4 +1,4 @@
-"""Slot-FFT solver: layout, symbol, the shifted-operator builder, differential
+"""Slot-FFT solver: layout, symbol, the sector-matrix builder, differential
 tests against the stacked LAPACK solver and splu, the blocked sweep against
 the serial one, the pivot guard, the mode-0 gradient flow against the
 full-mesh flow, and unitarity of the Cayley flow the solver drives."""
@@ -31,6 +31,7 @@ from ringgpe.ground_state import (
 from ringgpe.layout import (
     SlotFFTSolver,
     mode0_rows,
+    sector_matrix,
     slot_defect,
     slot_shifted,
     slot_symbol,
@@ -124,8 +125,7 @@ class StackedGttrsSolver:
     """
 
     def __init__(self, op, shift, scale):
-        mesh = self.mesh = op.mesh
-        self.real = not (np.iscomplexobj(shift) or np.iscomplexobj(scale))
+        self.mesh = op.mesh
         diags = scale * op.slot_symbol
         diags[1] += shift
         gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"),
@@ -140,28 +140,18 @@ class StackedGttrsSolver:
         xh, info = self.gttrs(*self.lu, bh.reshape(-1, 1))
         assert info == 0
         x = np.fft.ifft(xh.reshape(mesh.n_points, mesh.n_bands, 2), axis=0)
-        x = x[:, :, ::-1].transpose(1, 0, 2).reshape(-1)
-        return x.real.copy() if self.real and not np.iscomplexobj(b) else x
+        return x[:, :, ::-1].transpose(1, 0, 2).reshape(-1)
 
 
-# (shift, scale) pairs of the solver: real, complex scale (the Cayley
-# matrix) and complex shift and scale.
+# (shift, scale) pairs of the solver and of sector_matrix: real, complex
+# scale (the Cayley matrix), complex shift and scale, and complex shift
+# with real scale.
 SOLVER_CASES = {
     "real": (1.5, -0.01),
     "cayley": (1.0, -1j * 6e-3 / (4.0 * M_EFF)),
     "complex": (1.0 + 0.5j, -0.01 + 0.02j),
 }
-
-
-def shifted_cases(mesh):
-    """SOLVER_CASES with slot-invariant per-triangle shifts, which
-    LaplacianOperator.shifted accepts as well."""
-    r2 = mesh.centers[:, 0] ** 2 + mesh.centers[:, 1] ** 2
-    return {
-        "real": (1.0 + 0.5 * r2, -0.01),
-        "cayley": SOLVER_CASES["cayley"],
-        "complex": ((1.0 + 0.5j) * r2, -0.01 + 0.02j),
-    }
+MATRIX_CASES = {**SOLVER_CASES, "complex shift": (1.0 + 0.5j, -0.01)}
 
 
 class TestLayout:
@@ -247,7 +237,7 @@ class TestLayout:
         mat = (sp.diags(shift) - 0.01 * op.A_T).tocsr()
         b = rng.standard_normal(mesh.n_triangles)
         x = checked_solve(SlotFFTSolver(op, 1.0, -0.01).solve, mat, b, "test solve")
-        assert x.dtype == np.float64
+        assert x.dtype == np.complex128
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 
 
@@ -258,7 +248,7 @@ class TestShifted:
         z = 1j * 6e-3 / (4.0 * M_EFF)
         want = (sp.identity(mesh.n_triangles, format="csr", dtype=np.complex128)
                 - z * op.A_T).tocsr()
-        got = op.shifted(1.0, -z)
+        got = sector_matrix(op, 1.0, -z)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
 
@@ -266,19 +256,29 @@ class TestShifted:
     @pytest.mark.parametrize("case", ["real", "cayley", "complex", "complex shift"])
     def test_matches_diags_plus_scaled_operator(self, mesh, bc, case):
         op = assemble_laplacian(mesh, bc)
-        cases = shifted_cases(mesh)
-        cases["complex shift"] = (cases["complex"][0], cases["real"][1])
-        shift, scale = cases[case]
+        shift, scale = MATRIX_CASES[case]
         kept = op.A_T.data.copy()
-        got = op.shifted(shift, scale)
-        want = (sp.diags(np.broadcast_to(shift, (mesh.n_triangles,)))
-                + scale * op.A_T).tocsr()
+        got = sector_matrix(op, shift, scale)
+        want = (sp.diags(np.full(mesh.n_triangles, shift)) + scale * op.A_T).tocsr()
         assert got.format == "csr" and got.dtype == want.dtype
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
         assert np.array_equal(got.indices, op.A_T.indices)
         assert np.array_equal(got.indptr, op.A_T.indptr)
         assert np.array_equal(op.A_T.data, kept)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("fold", [1, 3])
+    def test_solver_holds_the_sector_matrix(self, bc, fold):
+        # The matrix the solver is refined against is the one sector_matrix
+        # builds for the same arguments.
+        op = assemble_laplacian(build_ring_mesh(MESHES["odd"]), bc)
+        z = 1j * 6e-3 / (4.0 * M_EFF)
+        got = SlotFFTSolver(op, 1.0, -z, fold).matrix
+        want = sector_matrix(op, 1.0, -z, fold)
+        assert got.format == "csr" and got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 class TestSweep:
@@ -294,8 +294,7 @@ class TestSweep:
             b = b.real.copy()
         got = SlotFFTSolver(op, shift, scale).solve(b)
         want = StackedGttrsSolver(op, shift, scale).solve(b)
-        real = case == "real" and rhs == "real"
-        assert got.dtype == (np.float64 if real else np.complex128)
+        assert got.dtype == np.complex128
         assert rel(got, want) <= 1e-13
 
     def test_solve_leaves_rhs_unchanged(self, mesh):
@@ -318,12 +317,13 @@ class TestSweep:
             SlotFFTSolver(op, -scale * sym[1, 0, 0].real, scale)
 
     def test_array_shift_refused(self, mesh):
-        # Only a scalar shift is factored; a per-triangle one, even a
-        # slot-invariant one, is refused by name.
+        # Only a scalar shift is built and factored; a per-triangle one,
+        # even a slot-invariant one, is refused by name.
         op = assemble_laplacian(mesh, "dirichlet")
-        shift, scale = shifted_cases(mesh)["real"]
-        with pytest.raises(ValueError, match="must be scalars"):
-            SlotFFTSolver(op, shift, scale)
+        shift = 1.0 + 0.5 * (mesh.centers[:, 0] ** 2 + mesh.centers[:, 1] ** 2)
+        for build in (sector_matrix, SlotFFTSolver):
+            with pytest.raises(ValueError, match="must be scalars"):
+                build(op, shift, -0.01)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(tau=st.floats(1e-6, 1.0), m=st.floats(1e-2, 100.0),
