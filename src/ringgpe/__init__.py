@@ -19,9 +19,8 @@ _EXPORTS = {
         "normalize",
     ),
     "potentials": (
-        "PhaseTable", "PotentialParams", "eval_rotating", "eval_total",
-        "eval_trap", "phase_integral", "phase_table", "total_field",
-        "trap_field",
+        "PhaseTable", "PotentialParams", "eval_total", "phase_integral",
+        "phase_table", "total_field", "trap_field",
     ),
     "ground_state": (
         "GradientFlowConfig", "GroundStateResult", "SlotInvariantProblem",

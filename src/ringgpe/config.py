@@ -302,8 +302,6 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
     for name, (section, kwargs) in parts.items():
         try:
             fields[name] = _PARTS[name](**kwargs)
-            if name == "split":
-                fields[name].n_steps  # noqa: B018 -- tau must divide t_max
             if name == "mesh":
                 angle = max_triangle_angle(fields[name])
                 if not angle < math.pi / 2.0:

@@ -53,13 +53,14 @@ class SplitStepConfig:
             raise ValueError("tau and t_max must be positive")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
+        steps = self.t_max / self.tau
+        j = round(steps) if math.isfinite(steps) else 0
+        if j < 1 or abs(j * self.tau - self.t_max) > 1e-9 * self.t_max:
+            raise ValueError("t_max must be an integer number of steps")
 
     @property
     def n_steps(self) -> int:
-        j = round(self.t_max / self.tau)
-        if j < 1 or abs(j * self.tau - self.t_max) > 1e-9 * self.t_max:
-            raise ValueError("t_max must be an integer number of steps")
-        return j
+        return round(self.t_max / self.tau)
 
 
 def flow_potential(u: np.ndarray, t: float, dt: float, table: PhaseTable,

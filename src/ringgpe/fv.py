@@ -6,6 +6,11 @@ Laplacian. A_T is self-adjoint for the area-weighted inner product and
 negative (semi-)definite: its quadratic form is minus a weighted sum of
 squared jumps. All of this rests on the mesh orthogonality property
 (circumcenter segments perpendicular to edges).
+
+The boundary condition is one choice of wall edges: the boundary edges
+that carry the ghost value 0 (all of them for Dirichlet conditions, none
+for Neumann ones). The Laplacian and the gradient then run one path over
+the interior edges and the wall edges.
 """
 
 from __future__ import annotations
@@ -111,36 +116,39 @@ class LaplacianOperator:
         return slot_symbol(self.mesh, self.A_T)
 
 
+def _flux_edges(mesh: RingMesh, bc: str):
+    """Interior edges and wall edges, each with its t = |sigma|/d.
+
+    The walls are the boundary edges that carry the ghost value 0: every
+    boundary edge for Dirichlet conditions, none for Neumann ones. This is
+    the one place where the boundary condition enters the flux stencil.
+    """
+    if bc not in _BCS:
+        raise ValueError(f"bc must be one of {_BCS}")
+    inner = mesh.interior_edges
+    walls = mesh.boundary_edges if bc == "dirichlet" else mesh.boundary_edges[:0]
+    edges = np.concatenate((inner, walls))
+    t = mesh.edge_length[edges] / mesh.edge_d[edges]
+    return inner, walls, t[:inner.size], t[inner.size:]
+
+
 def assemble_laplacian(mesh: RingMesh, bc: str = "dirichlet") -> LaplacianOperator:
     """Assemble the two-point flux Laplacian on the mesh.
 
     Interior edge sigma between K and L contributes the flux
-    |sigma| (U_L - U_K)/d_{K,L} to row K (and its negative to row L).
-    Dirichlet boundary edges contribute -|sigma| U_K / d_{K,sigma} to row K
-    (ghost value 0 on the boundary); Neumann boundary edges contribute nothing.
-    Assembly walks edges in their stored sorted order, so the matrices are
-    reproducible bit for bit.
+    |sigma| (U_L - U_K)/d_{K,L} to row K (and its negative to row L); a
+    wall edge contributes -|sigma| U_K / d_{K,sigma} to row K (ghost value 0
+    beyond it). Assembly walks edges in their stored sorted order, so the
+    matrices are reproducible bit for bit.
     """
-    if bc not in _BCS:
-        raise ValueError(f"bc must be one of {_BCS}")
+    inner, walls, c, cw = _flux_edges(mesh, bc)
     n = mesh.n_triangles
-    ie = mesh.interior_edges
-    k = mesh.edge_K[ie]
-    l = mesh.edge_L[ie]
-    c = mesh.edge_length[ie] / mesh.edge_d[ie]
-
-    rows = [k, l, k, l]
-    cols = [l, k, k, l]
-    vals = [c, c, -c, -c]
-    if bc == "dirichlet":
-        be = mesh.boundary_edges
-        kb = mesh.edge_K[be]
-        cb = mesh.edge_length[be] / mesh.edge_d[be]
-        rows.append(kb)
-        cols.append(kb)
-        vals.append(-cb)
+    k = mesh.edge_K[inner]
+    l = mesh.edge_L[inner]
+    kw = mesh.edge_K[walls]
     A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate((c, c, -c, -c, -cw)),
+         (np.concatenate((k, l, k, l, kw)), np.concatenate((l, k, k, l, kw)))),
         shape=(n, n),
     ).tocsr()
     A.sum_duplicates()
@@ -169,31 +177,21 @@ def _scatter_add(n: int, owners: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def discrete_gradient(u: Field, bc: str = "dirichlet") -> np.ndarray:
     """Diamond-point gradient reconstruction, one 2-vector per triangle.
 
-    grad(K) = (1/|K|) sum_sigma t_sigma du_sigma (x_sigma - x_K) with
-    t_sigma = |sigma|/d and du the jump toward the neighbour (toward the
-    ghost value 0 across Dirichlet boundary edges, zero across Neumann ones).
+    grad(K) = (1/|K|) sum_sigma t_sigma du_sigma (x_sigma - x_K) over the
+    interior and wall edges of K, with t_sigma = |sigma|/d and du the jump
+    toward the neighbour (toward the ghost value 0 across a wall).
     Exact for affine fields on triangles with no boundary edge.
     """
-    if bc not in _BCS:
-        raise ValueError(f"bc must be one of {_BCS}")
     mesh = u.mesh
     vals = u.values
-
-    ie = mesh.interior_edges
-    k = mesh.edge_K[ie]
-    l = mesh.edge_L[ie]
-    t = mesh.edge_length[ie] / mesh.edge_d[ie]
-    jump = t * (vals[l] - vals[k])
-    # Per side of every edge, in the order the sums run: the owning
+    inner, walls, c, cw = _flux_edges(mesh, bc)
+    k = mesh.edge_K[inner]
+    l = mesh.edge_L[inner]
+    kw = mesh.edge_K[walls]
+    jump = c * (vals[l] - vals[k])
+    # Per side of every flux edge, in the order the sums run: the owning
     # triangle, the weighted jump and the edge.
-    owners, weights, edges = [k, l], [jump, -jump], [ie, ie]
-    if bc == "dirichlet":
-        be = mesh.boundary_edges
-        kb = mesh.edge_K[be]
-        tb = mesh.edge_length[be] / mesh.edge_d[be]
-        owners.append(kb)
-        weights.append(-tb * vals[kb])
-        edges.append(be)
+    owners, weights, edges = (k, l, kw), (jump, -jump, -cw * vals[kw]), (inner, inner, walls)
 
     term_owner = np.concatenate(owners)
     terms = np.empty(term_owner.size, dtype=jump.dtype)

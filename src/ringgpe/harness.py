@@ -177,6 +177,8 @@ def _stage_closure(stages) -> tuple[str, ...]:
 
     for name in stages:
         add(name)
+    if not want:
+        raise ConfigError("no pipeline stage selected")
     return tuple(s for s in PIPELINE_STAGES if s in want)
 
 

@@ -1,9 +1,12 @@
 """Ring trap and stirring potentials.
 
-The static trap is a Gaussian well along the circle r = 1; the stirrer
-modulates it with an angular harmonic rotating at angular rate omega. The
-split-step scheme never samples the stirrer pointwise in time: it uses the
-exact time integral over a step (phase_integral), which keeps the potential
+The static trap is a Gaussian well along the circle r = 1 (trap_profile);
+the stirrer modulates it with an angular harmonic rotating at angular rate
+omega. Every sampler takes the polar coordinates of its points and the trap
+profile once: eval_total evaluates V(t, x) pointwise, trap_field and
+total_field sample the trap and V(t, .) at circumcenters. The split-step
+scheme never samples the stirrer pointwise in time: it uses the exact time
+integral over a step (phase_integral), which keeps the potential
 half-flow exact for any step size. None of trap, trap cos(n theta) and
 trap sin(n theta) depends on t, so a PhaseTable holds them for fixed points
 and phase_integral combines them with four scalar cosines and sines of
@@ -38,6 +41,8 @@ class PotentialParams:
     def __post_init__(self):
         if not self.m > 0.0:
             raise ValueError("m must be positive")
+        if not self.V0 >= 0.0:
+            raise ValueError("V0 must be nonnegative")
         if not 0.0 <= self.V_p <= 1.0:
             raise ValueError("V_p must lie in [0, 1]")
 
@@ -54,22 +59,11 @@ def trap_profile(r, m: float, V0: float) -> np.ndarray:
     return -V0 * np.exp(-2.0 * m * (r - 1.0) ** 2)
 
 
-def eval_trap(params: PotentialParams, points) -> np.ndarray:
-    """Static trap V_pot(r) = trap_profile(r, m, V0) at points."""
-    r, _ = _radius_angle(points)
-    return trap_profile(r, params.m, params.V0)
-
-
-def eval_rotating(params: PotentialParams, t: float, points) -> np.ndarray:
-    """Stirring term V_p V_pot(r) sin(n_theta theta - omega t)."""
-    _, theta = _radius_angle(points)
-    trap = eval_trap(params, points)
-    return params.V_p * trap * np.sin(params.n_theta * theta - params.omega * t)
-
-
 def eval_total(params: PotentialParams, t: float, points) -> np.ndarray:
-    """Full potential V(t, x) = trap + stirrer."""
-    return eval_trap(params, points) + eval_rotating(params, t, points)
+    """Full potential V(t, x) = V_pot(r) + V_p V_pot(r) sin(n_theta theta - omega t)."""
+    r, theta = _radius_angle(points)
+    trap = trap_profile(r, params.m, params.V0)
+    return trap + params.V_p * trap * np.sin(params.n_theta * theta - params.omega * t)
 
 
 @dataclass(frozen=True)
@@ -84,8 +78,8 @@ class PhaseTable:
 
 def phase_table(params: PotentialParams, points) -> PhaseTable:
     """Tabulate trap, trap cos(n theta) and trap sin(n theta) at points."""
-    _, theta = _radius_angle(points)
-    trap = eval_trap(params, points)
+    r, theta = _radius_angle(points)
+    trap = trap_profile(r, params.m, params.V0)
     phase = params.n_theta * theta
     return PhaseTable(params, trap, trap * np.cos(phase), trap * np.sin(phase))
 
@@ -116,7 +110,8 @@ def phase_integral(table: PhaseTable, t: float, dt: float) -> np.ndarray:
 
 def trap_field(params: PotentialParams, mesh: RingMesh) -> Field:
     """Static trap sampled at circumcenters."""
-    return Field(mesh, eval_trap(params, mesh.centers))
+    r, _ = _radius_angle(mesh.centers)
+    return Field(mesh, trap_profile(r, params.m, params.V0))
 
 
 def total_field(params: PotentialParams, t: float, mesh: RingMesh) -> Field:

@@ -123,6 +123,7 @@ NAN_PARAMETERS = {
     "GradientFlowConfig kappa0": lambda: GradientFlowConfig(kappa0=NAN),
     "GradientFlowConfig epsilon": lambda: GradientFlowConfig(epsilon=NAN),
     "PotentialParams m": lambda: PotentialParams(m=NAN, V0=100.0),
+    "PotentialParams V0": lambda: PotentialParams(m=10.0, V0=NAN),
     "SplitStepConfig tau": lambda: SplitStepConfig(tau=NAN, t_max=1.0),
     "SplitStepConfig t_max": lambda: SplitStepConfig(tau=0.1, t_max=NAN),
     "RadialProblem V0": lambda: RadialProblem(r_min=0.6, r_max=1.4, m=10.0, V0=NAN),
@@ -167,6 +168,13 @@ class TestDiagnostics:
     def test_nan_parameter_refused(self, name):
         with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
             NAN_PARAMETERS[name]()
+
+    def test_step_count_refused_by_split_config(self):
+        # SplitStepConfig refuses the step where it is made; the parser
+        # reports it at the [split] header.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(MINIMAL + "[split]\ntau = 0.0007\nt_max = 3.0\n")
+        assert str(excinfo.value) == "line 6: [split]: t_max must be an integer number of steps"
 
     def test_duplicate_key_in_reopened_section(self):
         text = MINIMAL + "[physics]\nm = 5\n[mesh]\nh = 0.2\n"

@@ -23,7 +23,7 @@ from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm, normalize
 from ringgpe.ground_state import GradientFlowConfig, compute_ground_state, energy
 from ringgpe.mesh import MeshParams, build_ring_mesh
-from ringgpe.potentials import PotentialParams, eval_trap, phase_integral, phase_table, trap_field
+from ringgpe.potentials import PotentialParams, phase_integral, phase_table, trap_field
 
 M_EFF = 10.0
 V0 = 100.0
@@ -68,7 +68,7 @@ class TestPotentialFlow:
         u = random_state(mesh, 2).values
         dt = 0.037
         w = flow_potential(u, 1.3, dt, phase_table(STATIC, mesh.centers), 0.0)
-        expect = u * np.exp(-1j * eval_trap(STATIC, mesh.centers) * dt)
+        expect = u * np.exp(-1j * trap_field(STATIC, mesh).values * dt)
         assert np.abs(w - expect).max() < 1e-14
 
     def test_nonlinear_phase(self, tiny):
@@ -245,6 +245,13 @@ class TestEvolve:
             SplitStepConfig(tau=0.001, t_max=-1.0)
         with pytest.raises(ValueError):
             SplitStepConfig(tau=0.0003, t_max=0.001).n_steps
+
+    def test_step_count_checked_where_made(self):
+        with pytest.raises(ValueError, match="integer number of steps"):
+            SplitStepConfig(tau=0.3, t_max=1.0)
+        with pytest.raises(ValueError, match="integer number of steps"):
+            SplitStepConfig(tau=5e-324, t_max=3.0)  # t_max / tau overflows
+        assert SplitStepConfig(tau=0.25, t_max=1.0).n_steps == 4
 
     def test_strang_step_matches_evolve_single(self, tiny, tiny_gs):
         mesh, op = tiny

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.fv import (
     Field,
@@ -332,3 +334,61 @@ class TestScatterOracle:
             grad = discrete_gradient(u, bc)
             assert same_bits(grad, add_at_gradient(u, bc))
             assert same_bits(discrete_curl(mesh, grad), add_at_curl(mesh, grad))
+
+
+def branchy_assembly(mesh, bc):
+    """assemble_laplacian as it branched on bc in COO form (test oracle)."""
+    n = mesh.n_triangles
+    ie = mesh.interior_edges
+    k = mesh.edge_K[ie]
+    l = mesh.edge_L[ie]
+    c = mesh.edge_length[ie] / mesh.edge_d[ie]
+    rows = [k, l, k, l]
+    cols = [l, k, k, l]
+    vals = [c, c, -c, -c]
+    if bc == "dirichlet":
+        be = mesh.boundary_edges
+        kb = mesh.edge_K[be]
+        rows.append(kb)
+        cols.append(kb)
+        vals.append(-(mesh.edge_length[be] / mesh.edge_d[be]))
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    A_T = (sp.diags(1.0 / mesh.areas) @ A).tocsr()
+    A_T.sort_indices()
+    return A, A_T
+
+
+def same_csr(a, b):
+    return all(same_bits(getattr(a, f), getattr(b, f)) for f in ("data", "indices", "indptr"))
+
+
+def assert_assembly_matches_oracle(mesh, bc):
+    op = assemble_laplacian(mesh, bc)
+    A, A_T = branchy_assembly(mesh, bc)
+    assert same_csr(op.A, A)
+    assert same_csr(op.A_T, A_T)
+
+
+RANDOM_MESH = st.builds(
+    lambda r_min, width, steps: MeshParams(r_min=r_min, r_max=r_min + width, h=width / steps),
+    st.floats(0.1, 1.0), st.floats(0.2, 1.7), st.floats(2.01, 8.0))
+
+
+class TestAssemblyOracle:
+    """The wall-edge assembly against the branchy one it replaced, bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(params=st.one_of(st.sampled_from([SMALL_MESHES[k] for k in sorted(SMALL_MESHES)]),
+                            RANDOM_MESH),
+           bc=st.sampled_from(["dirichlet", "neumann"]))
+    def test_small_meshes(self, params, bc):
+        assert_assembly_matches_oracle(build_ring_mesh(params), bc)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_desk_mesh(self, mesh, bc):
+        assert_assembly_matches_oracle(mesh, bc)

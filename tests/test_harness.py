@@ -131,6 +131,11 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="unknown pipeline stage"):
             run_pipeline(tiny_cfg, tmp_path, stages=("plot",))
 
+    def test_empty_stage_selection_rejected(self, tiny_cfg, tmp_path):
+        with pytest.raises(ConfigError, match="no pipeline stage selected"):
+            run_pipeline(tiny_cfg, tmp_path / "out", stages=())
+        assert not (tmp_path / "out").exists()
+
     def test_unstable_initial_state(self, tmp_path):
         cfg = parse_config(TINY.replace(
             "snapshot_stride = 5", "snapshot_stride = 0\ninitial = unstable"))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ringgpe.config import preset_config
@@ -9,9 +11,7 @@ from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import (
     OMEGA_STATIC_TOL,
     PotentialParams,
-    eval_rotating,
     eval_total,
-    eval_trap,
     phase_integral,
     phase_table,
     total_field,
@@ -19,23 +19,27 @@ from ringgpe.potentials import (
 )
 
 PARAMS = PotentialParams(m=10.0, V0=100.0, V_p=0.05, n_theta=6, omega=10 * np.pi / 3)
+TRAP = dataclasses.replace(PARAMS, V_p=0.0)
+
+
+def unit_circle(theta):
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 class TestTrap:
     def test_minimum_on_unit_circle(self):
         pts = np.array([[1.0, 0.0], [0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        assert np.allclose(eval_trap(PARAMS, pts), -100.0)
+        assert np.allclose(eval_total(TRAP, 0.3, pts), -100.0)
 
     def test_known_value(self):
         # -100 * exp(-2*10*(1.2-1)^2) = -100 * exp(-0.8)
-        v = eval_trap(PARAMS, np.array([[1.2, 0.0]]))
+        v = eval_total(TRAP, 0.0, np.array([[1.2, 0.0]]))
         assert v[0] == pytest.approx(-44.932896411722156, rel=1e-14)
 
     def test_radial(self):
         rng = np.random.default_rng(0)
         th = rng.uniform(0, 2 * np.pi, 50)
-        pts_a = np.column_stack([1.17 * np.cos(th), 1.17 * np.sin(th)])
-        v = eval_trap(PARAMS, pts_a)
+        v = eval_total(TRAP, 0.8, 1.17 * unit_circle(th))
         assert np.ptp(v) < 1e-12
 
     def test_validation(self):
@@ -45,41 +49,37 @@ class TestTrap:
             PotentialParams(m=1.0, V0=1.0, V_p=1.5)
         with pytest.raises(ValueError):
             PotentialParams(m=1.0, V0=1.0, V_p=-0.1)
+        with pytest.raises(ValueError, match="V0"):
+            PotentialParams(m=10.0, V0=float("nan"))
+        with pytest.raises(ValueError, match="V0"):
+            PotentialParams(m=10.0, V0=-5.0)
 
 
 class TestRotating:
+    # The stirrer is the total potential less the trap.
     def test_bounded_by_amplitude(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1.5, 1.5, (300, 2))
         for t in (0.0, 0.37, 2.0):
-            v = eval_rotating(PARAMS, t, pts)
+            v = eval_total(PARAMS, t, pts) - eval_total(TRAP, t, pts)
             assert np.abs(v).max() <= PARAMS.V_p * PARAMS.V0 + 1e-12
 
     def test_angular_wavenumber(self):
-        # n_theta full oscillations around the circle at fixed t, r.
-        th = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        v = eval_rotating(PARAMS, 0.0, pts)
-        crossings = np.sum(np.sign(v[1:]) != np.sign(v[:-1]))
+        # n_theta full oscillations around the circle at fixed t, r; the
+        # samples sit half a spacing off the zeros of the stirrer.
+        th = np.linspace(0, 2 * np.pi, 720, endpoint=False) + np.pi / 720
+        v = eval_total(PARAMS, 0.0, unit_circle(th)) + PARAMS.V0
+        crossings = np.sum(np.sign(v) != np.sign(np.roll(v, 1)))
         assert crossings == 2 * PARAMS.n_theta
 
     def test_rotates_at_omega(self):
-        # V_rot(t, theta) = V_rot(0, theta - omega t / n_theta)
+        # V(t, theta) = V(0, theta - omega t / n_theta)
         t = 0.123
         shift = PARAMS.omega * t / PARAMS.n_theta
         th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        pts_shifted = np.column_stack([np.cos(th - shift), np.sin(th - shift)])
-        a = eval_rotating(PARAMS, t, pts)
-        b = eval_rotating(PARAMS, 0.0, pts_shifted)
+        a = eval_total(PARAMS, t, 1.1 * unit_circle(th))
+        b = eval_total(PARAMS, 0.0, 1.1 * unit_circle(th - shift))
         assert np.abs(a - b).max() < 1e-12
-
-    def test_total_is_sum(self):
-        pts = np.array([[0.9, 0.3], [-1.1, 0.2]])
-        t = 0.7
-        assert np.allclose(
-            eval_total(PARAMS, t, pts),
-            eval_trap(PARAMS, pts) + eval_rotating(PARAMS, t, pts))
 
 
 class TestPhaseIntegral:
@@ -113,13 +113,24 @@ class TestPhaseIntegral:
         p = PotentialParams(m=10.0, V0=100.0)
         pts = np.array([[1.3, -0.1], [0.61, 0.0]])
         got = phase_integral(phase_table(p, pts), 0.9, 0.02)
-        assert np.allclose(got, eval_trap(p, pts) * 0.02, rtol=1e-14)
+        assert np.allclose(got, eval_total(p, 0.9, pts) * 0.02, rtol=1e-14)
+
+
+def composed_samples(params, t, points):
+    """The trap and trap + stirrer as eval_trap + eval_rotating composed
+    them (test oracle)."""
+    pts = np.asarray(points, dtype=float)
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    trap = -params.V0 * np.exp(-2.0 * params.m * (r - 1.0) ** 2)
+    rotating = params.V_p * trap * np.sin(params.n_theta * theta - params.omega * t)
+    return trap, trap + rotating
 
 
 def direct_phase_integral(params, t, dt, points):
     """The closed form evaluated point by point, one cosine pair per point."""
+    trap, _ = composed_samples(params, 0.0, points)
     theta = np.arctan2(points[:, 1], points[:, 0])
-    trap = eval_trap(params, points)
     out = trap * dt
     if params.V_p != 0.0:
         phase = params.n_theta * theta
@@ -145,8 +156,13 @@ TABLE_CASES = {
 
 
 @pytest.fixture(scope="module")
-def paper62_centers():
-    return build_ring_mesh(PAPER62.mesh).centers
+def paper62_mesh():
+    return build_ring_mesh(PAPER62.mesh)
+
+
+@pytest.fixture(scope="module")
+def paper62_centers(paper62_mesh):
+    return paper62_mesh.centers
 
 
 class TestPhaseTable:
@@ -164,11 +180,41 @@ class TestPhaseTable:
                 assert np.abs(got - want).max() <= 1e-14
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestComposedOracle:
+    """The one-pass samplers against the trap + stirrer composition, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=st.sampled_from(sorted(TABLE_CASES)), t=st.floats(-5.0, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_points(self, case, t, seed):
+        params = TABLE_CASES[case]
+        pts = np.random.default_rng(seed).uniform(-1.6, 1.6, (64, 2))
+        trap, total = composed_samples(params, t, pts)
+        assert same_bits(eval_total(params, t, pts), total)
+        assert same_bits(phase_table(params, pts).trap, trap)
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_paper62_centers(self, paper62_mesh, case):
+        params = TABLE_CASES[case]
+        mesh = paper62_mesh
+        trap, _ = composed_samples(params, 0.0, mesh.centers)
+        assert same_bits(trap_field(params, mesh).values, trap)
+        assert same_bits(phase_table(params, mesh.centers).trap, trap)
+        for t in (0.0, 0.37, PAPER62.split.t_max):
+            _, total = composed_samples(params, t, mesh.centers)
+            assert same_bits(total_field(params, t, mesh).values, total)
+            assert same_bits(eval_total(params, t, mesh.centers), total)
+
+
 class TestFieldHelpers:
     def test_fields_on_mesh(self):
         mesh = build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2))
         tf = trap_field(PARAMS, mesh)
         assert tf.values.dtype == np.float64
-        assert np.array_equal(tf.values, eval_trap(PARAMS, mesh.centers))
+        assert np.array_equal(tf.values, eval_total(TRAP, 0.0, mesh.centers))
         vf = total_field(PARAMS, 0.4, mesh)
         assert np.array_equal(vf.values, eval_total(PARAMS, 0.4, mesh.centers))
