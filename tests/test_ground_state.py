@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import ringgpe.ground_state as gs_mod
 from ringgpe.errors import NumericalError
@@ -12,9 +13,10 @@ from ringgpe.ground_state import (
     energy,
     energy_gradient,
     gradient_flow_step,
+    identity,
     residual_criterion,
 )
-from ringgpe.layout import slot_shifted
+from ringgpe.layout import residual_bounds, slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, trap_field
 
@@ -213,6 +215,58 @@ class TestCheckedSolve:
     def test_zero_rhs_gives_zero(self):
         x = checked_solve(lambda b: b / 0.0, self.MAT, np.zeros(3, complex), "diag")
         assert x.dtype == complex and not np.any(x)
+
+    def test_certificate_skips_the_second_product(self):
+        # The theta example with bounds: the refinement's residual is
+        # 1e-7 rhs, so the certificate is ~max(theta) 1e-7 ||rhs||. For
+        # theta ~ 1e-4 that clears the contract with one product; for
+        # theta ~ 0.1 it does not, and the exact residual decides with a
+        # second product, as without bounds, and names the same value.
+        rhs = self.RHS.astype(complex)
+        for theta, products in ((np.array([1e-4, 2e-4, 4e-4]), 1),
+                                (np.array([0.1, 0.2, 0.4]), 2)):
+            mat = CountingMatrix(np.eye(3) - 1j * np.diag(theta))
+            bounds = residual_bounds(sp.csr_matrix(mat.mat))
+
+            def solve(b):
+                return (1 + 1e-7) * b / np.diag(mat.mat)
+
+            if products == 1:
+                want = checked_solve(solve, mat.mat, rhs, "diag", refine=identity)
+                got = checked_solve(solve, mat, rhs, "diag", identity, bounds)
+                assert np.array_equal(got, want)
+            else:
+                with pytest.raises(NumericalError, match="diag residual 3.39"):
+                    checked_solve(solve, mat, rhs, "diag", identity, bounds)
+            assert mat.products == products
+
+    def test_without_bounds_every_check_is_exact(self):
+        # refine=None (the gradient flow's second solve) and the identity
+        # without bounds both compute the refined residual.
+        for refine in (None, identity):
+            mat = CountingMatrix(self.MAT)
+            checked_solve(lambda b: b / np.diag(self.MAT), mat, self.RHS, "diag", refine)
+            assert mat.products == 2
+
+    def test_bounds_certify_only_the_identity(self):
+        bounds = residual_bounds(sp.csr_matrix(self.MAT))
+        for refine in (None, lambda r: r):
+            with pytest.raises(ValueError, match="identity refinement"):
+                checked_solve(lambda b: b / np.diag(self.MAT), self.MAT, self.RHS, "diag",
+                              refine, bounds)
+
+
+class CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.shape = mat.shape
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.mat @ x
 
 
 class TestDeskGroundState:

@@ -1,8 +1,9 @@
 """Rotation sectors: the folded operator, solve and fold rule over every
 divisor of N_p, the blocked slot-mode sweep against the serial one and the
 LAPACK oracle on every sector, the one-solve kinetic step against the
-two-solve one it replaced, and evolve on a sector against the unfused
-full-mesh strang_step for the set-ups of criteria 04, 06 and 07."""
+two-solve one it replaced, the certificate that spares its second sparse
+product, and evolve on a sector against the unfused full-mesh strang_step
+for the set-ups of criteria 04, 06 and 07."""
 
 import functools
 import math
@@ -20,11 +21,20 @@ from ringgpe.dynamics import (
     make_unstable_state,
     strang_step,
 )
+import ringgpe.ground_state as gs_mod
+from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian
-from ringgpe.ground_state import GradientFlowConfig, checked_solve, compute_ground_state
+from ringgpe.ground_state import (
+    SOLVER_RESIDUAL_TOL,
+    GradientFlowConfig,
+    checked_solve,
+    compute_ground_state,
+    refinement_certificate,
+)
 from ringgpe.layout import (
     SlotFFTSolver,
     invariant_fold,
+    residual_bounds,
     sector,
     sector_matrix,
     slot_view,
@@ -32,6 +42,8 @@ from ringgpe.layout import (
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, phase_table
+from test_fv import SMALL_MESHES
+from test_ground_state import CountingMatrix
 from test_layout import SOLVER_CASES, StackedGttrsSolver, solver_with_blocks
 
 M_EFF = 10.0
@@ -187,6 +199,19 @@ class TestFoldedFlows:
                 flow.apply(values)
 
 
+def desk_state(mesh, trap, bc, state):
+    """(op, u, fold): the desk ground state for bc, on the fold its stirrer
+    keeps (> 1), or the unstable state made from it (fold 1)."""
+    op = assemble_laplacian(mesh, bc)
+    gs = compute_ground_state(trap, op, M_EFF, GAMMA, GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
+    assert gs.converged
+    if state == "unstable":
+        return op, make_unstable_state(gs.field).values, 1
+    fold = invariant_fold(mesh, gs.field.values, math.gcd(STIR.n_theta, mesh.n_points))
+    assert fold > 1
+    return op, gs.field.values, fold
+
+
 class TestKineticRefinement:
     """KineticFlow.apply refines its one slot-FFT solve with the identity
     against the path it replaced, a second solve: 2 checked_solve(...) - u."""
@@ -196,16 +221,7 @@ class TestKineticRefinement:
     def test_matches_solve_refined_path_over_300_steps(self, desk_mesh, desk_trap, bc, state,
                                                        monkeypatch):
         tau = 6e-4
-        op = assemble_laplacian(desk_mesh, bc)
-        gs = compute_ground_state(desk_trap, op, M_EFF, GAMMA,
-                                  GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
-        assert gs.converged
-        if state == "unstable":
-            u, fold = make_unstable_state(gs.field).values, 1
-        else:
-            u = gs.field.values
-            fold = invariant_fold(desk_mesh, u, math.gcd(STIR.n_theta, desk_mesh.n_points))
-            assert fold > 1
+        op, u, fold = desk_state(desk_mesh, desk_trap, bc, state)
         in_sector = sector(desk_mesh, fold)
         u = u[in_sector].astype(np.complex128)
         areas = desk_mesh.areas[in_sector]
@@ -234,6 +250,150 @@ class TestKineticRefinement:
         mass0 = np.sum(areas * np.abs(u) ** 2)
         for w in (got, want):
             assert abs(np.sum(areas * np.abs(w) ** 2) - mass0) / mass0 <= 1e-14
+
+
+# The small meshes of test_fv (N_p = 128, 63, 3 and 7, down to one band)
+# and the desk mesh of conftest.
+CERTIFIED_MESHES = {**SMALL_MESHES, "desk": MeshParams(r_min=0.6, r_max=1.4, h=0.06)}
+
+
+@functools.cache
+def certified_operator(name, bc):
+    return assemble_laplacian(build_ring_mesh(CERTIFIED_MESHES[name]), bc)
+
+
+def divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def smooth_sector(mesh, fold, wavenumber):
+    """exp(i l k theta) cos(pi (r - 1) / 2) on the sector of fold k: it
+    repeats every 2 pi / k and varies slowly in r and theta for small l."""
+    c = mesh.centers[sector(mesh, fold)]
+    r = np.hypot(c[:, 0], c[:, 1])
+    theta = np.arctan2(c[:, 1], c[:, 0])
+    return np.cos(0.5 * np.pi * (r - 1.0)) * np.exp(1j * wavenumber * fold * theta)
+
+
+def two_product_step(solver, u):
+    """The Cayley step as it was before the certificate: refine once with
+    the identity, check the refined residual with a second product, 2x - u."""
+    mat = solver.matrix
+    scale = np.linalg.norm(u)
+    x = solver.solve(u)
+    x += u - mat @ x
+    res = np.linalg.norm(mat @ x - u) / scale
+    if not res <= SOLVER_RESIDUAL_TOL:
+        raise NumericalError(f"kinetic solve residual {res:.3e} above contract")
+    return 2.0 * x - u
+
+
+class TestRefinementCertificate:
+    """KineticFlow.apply certifies its refined residual from the
+    refinement's own residual (ground_state.refinement_certificate) and
+    makes one sparse product where the certificate clears the contract,
+    with the bits and decisions of the two-product step."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(name=st.sampled_from(sorted(CERTIFIED_MESHES)), data=st.data(),
+           seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 1e-1), m=st.floats(0.5, 50.0),
+           smooth=st.booleans())
+    def test_certificate_bounds_the_exact_residual(self, bc, name, data, seed, tau, m, smooth):
+        # Steps of the refined solve as checked_solve makes them, on the
+        # sector of a random fold. On every step the certificate bounds
+        # the residual of the refined x1 as the exact check computes it,
+        # and as computed in extended precision.
+        op = certified_operator(name, bc)
+        mesh = op.mesh
+        fold = data.draw(st.sampled_from(divisors(mesh.n_points)), label="fold")
+        u = smooth_sector(mesh, fold, seed % 4) if smooth else random_sector(mesh, fold, seed)
+        solver = SlotFFTSolver(op, 1.0, -1j * tau / (4.0 * m), fold)
+        mat = solver.matrix
+        wide = mat.astype(np.clongdouble)
+        for _ in range(20):
+            x = solver.solve(u)
+            r = u - mat @ x
+            cert = refinement_certificate(solver.bounds, np.linalg.norm(u), gs_mod._norm(x),
+                                          gs_mod._norm(r))
+            x += r
+            computed = np.linalg.norm(mat @ x - u)
+            extended = np.sqrt(np.sum(np.abs(wide @ x.astype(np.clongdouble) - u) ** 2))
+            assert cert >= computed and cert >= extended
+            u = 2.0 * x - u
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name", ["odd", "three", "one band"])
+    def test_bounds_bound_the_two_norms(self, name, bc):
+        # Against the singular values of the dense sector matrix, on every
+        # fold, and within a factor 2 of ||M - I||_2, so the certificate is
+        # not loose; a row holds a triangle and at most three neighbours.
+        op = certified_operator(name, bc)
+        for fold in divisors(op.mesh.n_points):
+            mat = SlotFFTSolver(op, 1.0, -0.3j, fold).matrix
+            bounds = residual_bounds(mat)
+            dense = mat.toarray()
+            gap = np.linalg.norm(dense - np.eye(len(dense)), 2)
+            assert gap <= bounds.gap <= 2.0 * gap
+            assert np.linalg.norm(np.abs(dense), 2) <= bounds.abs_norm
+            k = np.diff(mat.indptr).max()
+            assert bounds.rounding == 4 * (k + 2) * np.finfo(float).eps and k <= 4
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("state", ["unstable", "stirred"])
+    def test_matches_two_product_step_bit_for_bit(self, desk_mesh, desk_trap, bc, state):
+        # 300 steps from the desk ground state (fold > 1) and the unstable
+        # state (fold 1): every step is the two-product step's bits and
+        # makes one product with the solver's matrix.
+        tau = 6e-4
+        op, u, fold = desk_state(desk_mesh, desk_trap, bc, state)
+        u = u[sector(desk_mesh, fold)].astype(np.complex128)
+        flow = KineticFlow(op, tau, M_EFF, fold)
+        reference = SlotFFTSolver(op, 1.0, -1j * tau / (4.0 * M_EFF), fold)
+        counter = flow._solver.matrix = CountingMatrix(flow._solver.matrix)
+        got = want = u
+        for step in range(1, 301):
+            got = flow.apply(got)
+            want = two_product_step(reference, want)
+            assert np.array_equal(got, want)
+            assert counter.products == step
+
+    @pytest.mark.parametrize("bc,smooth,passes", [("neumann", True, True),
+                                                  ("neumann", False, False),
+                                                  ("dirichlet", False, False)])
+    def test_perturbed_solve_falls_back_to_the_exact_residual(self, bc, smooth, passes,
+                                                              monkeypatch):
+        # A solve off by 1e-7 leaves the refinement's residual at 1e-7 u,
+        # so the certificate, ~||M - I|| 1e-7 ||u|| with ||M - I|| ~ 0.7
+        # here, cannot clear the contract and the exact residual decides
+        # with a second product: z A_T 1e-7 u, within the contract for a
+        # slowly varying u and above it for a rough one.
+        op = certified_operator("desk", bc)
+        mesh = op.mesh
+        u = smooth_sector(mesh, 1, 1) if smooth else random_sector(mesh, 1, 5)
+        flow = KineticFlow(op, 6e-4, M_EFF)
+        counter = flow._solver.matrix = CountingMatrix(flow._solver.matrix)
+        solve = SlotFFTSolver.solve
+        monkeypatch.setattr(SlotFFTSolver, "solve", lambda self, b: (1 + 1e-7) * solve(self, b))
+        x = flow._solver.solve(u)
+        x += u - counter.mat @ x
+        res = np.linalg.norm(counter.mat @ x - u) / np.linalg.norm(u)
+        assert (res <= SOLVER_RESIDUAL_TOL) == passes
+        if passes:
+            assert np.array_equal(flow.apply(u), 2.0 * x - u)
+        else:
+            with pytest.raises(NumericalError, match=f"kinetic solve residual {res:.3e} above"):
+                flow.apply(u)
+        assert counter.products == 2
+
+    def test_nan_solve_raises_residual_nan(self, monkeypatch):
+        op = certified_operator("odd", "dirichlet")
+        flow = KineticFlow(op, 1e-3, M_EFF)
+        counter = flow._solver.matrix = CountingMatrix(flow._solver.matrix)
+        monkeypatch.setattr(SlotFFTSolver, "solve", lambda self, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericalError, match="kinetic solve residual nan above contract"):
+            flow.apply(random_sector(op.mesh, 1, 2))
+        assert counter.products == 2
 
 
 class TestFoldedAgainstFull:
