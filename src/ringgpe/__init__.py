@@ -30,18 +30,15 @@ _EXPORTS = {
     "dynamics": (
         "EvolveResult", "KineticFlow", "SplitStepConfig", "evolve",
         "flow_potential", "make_unstable_state", "order_estimate",
-        "strang_step",
     ),
     "vortex": (
         "DetectionParams", "VortexRecord", "detect_by_density",
         "detect_by_vorticity", "pseudo_vorticity", "regularized_vorticity",
-        "vortex_index",
     ),
     "spectral": (
         "AnnulusEigenpair", "ModeBasis", "RadialProblem",
-        "annulus_eigenfunction_field", "annulus_eigenpairs",
-        "assemble_radial_operator", "decompose", "mode_basis",
-        "radial_modes",
+        "annulus_eigenfunction_field", "annulus_eigenpairs", "decompose",
+        "mode_basis", "radial_modes",
     ),
     "config": (
         "PRESET_NAMES", "RunConfig", "parse_config", "preset_config",

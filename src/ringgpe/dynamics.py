@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
-from .ground_state import checked_solve, energy, identity
+from .ground_state import checked_solve, energy
 from .layout import SlotFFTSolver, invariant_fold, sector, tile
 from .potentials import PhaseTable, PotentialParams, phase_integral, phase_table, total_field
 
@@ -88,14 +88,15 @@ class KineticFlow:
     layout.SlotFFTSolver(op, 1, -z, fold), factored once and reused across
     steps; every solve is refined once against its matrix, M on the sector,
     and checked against the residual contract on it
-    (ground_state.checked_solve). The refinement uses the identity as
-    its approximate inverse, x += r0 with r0 = u - M x: since I - M = z A_T,
-    the error in each eigenmode of A_T shrinks by |z lambda|, which is
-    small in the modes a smooth state lives in. The refined x then has
-    residual M x - u = (M - I) r0 = -z A_T r0 up to rounding, so the check
-    bounds it by ||M - I||_2 ||r0|| plus rounding terms, with constants
-    the solver computes once for M (layout.residual_bounds), instead of a
-    second product; on the benchmark's states that bound stays below
+    (ground_state.checked_solve, given the solver's bounds). The
+    refinement is then the identity, x += r0 with r0 = u - M x: since
+    I - M = z A_T, the error in each eigenmode of A_T shrinks by
+    |z lambda|, which is small in the modes a smooth state lives in. The
+    refined x then has residual M x - u = (M - I) r0 = -z A_T r0 up to
+    rounding, so the check bounds it by ||M - I||_2 ||r0|| plus rounding
+    terms, with constants the solver computes once for M
+    (layout.residual_bounds), instead of a second product; on the
+    benchmark's states that bound stays below
     2e-13 ||u||, against a contract of 1e-10. A step thus makes one
     slot-FFT solve and one sparse product, and a second product only when
     the bound does not clear the contract, where the exact residual
@@ -117,25 +118,11 @@ class KineticFlow:
         if u.shape != (minus.shape[0],):
             raise ValueError(f"expected {minus.shape[0]} sector values, got shape {u.shape}")
         v = u.astype(np.complex128, copy=False)
-        x = checked_solve(self._solver.solve, minus, v, "kinetic solve", identity,
-                          self._solver.bounds)
+        x = checked_solve(self._solver.solve, minus, v, "kinetic solve", self._solver.bounds)
         # x is the solver's own new array, so 2x - v can overwrite it.
         x *= 2.0
         x -= v
         return x
-
-
-def strang_step(u: np.ndarray, t: float, kinetic: KineticFlow, table: PhaseTable,
-                gamma: float) -> np.ndarray:
-    """One unfused splitting step over [t, t + tau].
-
-    The plain composition that evolve, which fuses neighbouring half-flows,
-    is tested against; u, kinetic and table belong to one sector.
-    """
-    tau = kinetic.tau
-    w = flow_potential(u, t, 0.5 * tau, table, gamma)
-    w = kinetic.apply(w)
-    return flow_potential(w, t + 0.5 * tau, 0.5 * tau, table, gamma)
 
 
 @dataclass

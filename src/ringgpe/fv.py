@@ -105,10 +105,14 @@ class LaplacianOperator:
         return Field(self.mesh, self.A_T @ u.values)
 
     def quadratic_form(self, u: Field) -> float:
-        """<u, A_T u>_T; always <= 0."""
+        """<u, A_T u>_T; always <= 0.
+
+        Summed by np.sum, whose order is fixed, not by a BLAS dot, whose
+        order follows the thread count, so the value is the same for any.
+        """
         if u.mesh is not self.mesh:
             raise ValueError("field mesh does not match operator mesh")
-        return float(np.real(np.conj(u.values) @ (self.A @ u.values)))
+        return float(np.sum((np.conj(u.values) * (self.A @ u.values)).real))
 
     @cached_property
     def slot_symbol(self) -> np.ndarray:

@@ -38,11 +38,6 @@ KAPPA_MIN = 1e-14
 CERTIFICATE_MARGIN = 1e-6
 
 
-def identity(r: np.ndarray) -> np.ndarray:
-    """The identity as checked_solve's refine; with bounds, the only one allowed."""
-    return r
-
-
 def refinement_certificate(bounds: ResidualBounds, rhs_norm: float, x0_norm: float,
                            r_norm: float) -> float:
     """Upper bound on ||mat @ x1 - rhs|| after one identity refinement.
@@ -80,35 +75,33 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def checked_solve(solve, mat, rhs: np.ndarray, what: str, refine=None,
+def checked_solve(solve, mat, rhs: np.ndarray, what: str,
                   bounds: ResidualBounds | None = None) -> np.ndarray:
     """Solve mat @ x = rhs with solve(b) ~ mat^-1 b under the residual contract.
 
     Every solve gets one step of iterative refinement against mat:
-    x = solve(rhs), then x += refine(rhs - mat @ x), where refine ~ mat^-1
-    is an approximate inverse (None means solve). The step multiplies the
-    error by I - refine mat. For the Cayley matrix mat = I - z A_T the
-    identity suffices: I - mat = z A_T scales the error in each eigenmode
-    of A_T by |z lambda|, far below 1 in the smooth modes that carry the
-    state, which is where solver round-off would move the mass (unrefined,
-    the Cayley flow drifts by 3e-14 to 9e-14 over 300 steps; refined
-    either way, by ~2e-16). The residual of the returned x is then
-    checked: above the contract, or NaN, it raises a NumericalError naming
-    `what`. A zero right-hand side gives zero. solve must return a new
-    array, which the correction updates in place, and mat @ x a new array
-    that can hold the residual, which is formed in it.
+    x = solve(rhs), then x += refine(rhs - mat @ x) with an approximate
+    inverse refine ~ mat^-1, which multiplies the error by I - refine mat.
+    bounds picks refine. Without bounds it is a second solve. With
+    bounds = layout.residual_bounds(mat) it is the identity, which suffices
+    for the Cayley matrix mat = I - z A_T: I - mat = z A_T scales the error
+    in each eigenmode of A_T by |z lambda|, far below 1 in the smooth modes
+    that carry the state, which is where solver round-off would move the
+    mass (unrefined, the Cayley flow drifts by 3e-14 to 9e-14 over 300
+    steps; refined either way, by ~2e-16). The residual of the returned x
+    is then checked: above the contract, or NaN, it raises a
+    NumericalError naming `what`. A zero right-hand side gives zero. solve
+    must return a new array, which the correction updates in place, and
+    mat @ x a new array that can hold the residual, which is formed in it.
 
-    With refine the identity, bounds = layout.residual_bounds(mat) lets
-    the check skip its product: when refinement_certificate, an upper
-    bound on the residual of x from the refinement's own residual, is at
-    most the contract times ||rhs||, the exact check would pass and x is
-    returned. Otherwise, or on NaN, the exact residual
-    ||mat @ x - rhs|| / ||rhs|| decides as without bounds. Either way x and
-    every accept or refuse are the same, and one product is made where the
-    certificate holds.
+    With bounds the check may skip its product: when
+    refinement_certificate, an upper bound on the residual of x from the
+    refinement's own residual, is at most the contract times ||rhs||, the
+    exact check would pass and x is returned. Otherwise, or on NaN, the
+    exact residual ||mat @ x - rhs|| / ||rhs|| decides, as without bounds.
+    Either way every accept or refuse is that of the exact check, and one
+    product is made where the certificate holds.
     """
-    if bounds is not None and refine is not identity:
-        raise ValueError("bounds certify only the identity refinement")
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
         return np.zeros_like(rhs)
@@ -116,7 +109,7 @@ def checked_solve(solve, mat, rhs: np.ndarray, what: str, refine=None,
     r = mat @ x
     np.subtract(rhs, r, out=r)
     if bounds is None:
-        x += (solve if refine is None else refine)(r)
+        x += solve(r)
     else:
         cert = refinement_certificate(bounds, scale, _norm(x), _norm(r))
         x += r

@@ -147,24 +147,23 @@ def sector_matrix(op: LaplacianOperator, shift: complex, scale: complex,
     product with x up to round-off. The mesh repeats under rotation only to
     round-off, so those rows are symmetric only to ~1e-13 on paper62; they
     are symmetrized, which keeps the sector's A_T self-adjoint for the
-    sector's areas and a Cayley step on it mass-preserving. At fold 1 it is
-    A_T bit for bit, and the result shares A_T's indices and indptr: do not
-    change its pattern in place.
+    sector's areas and a Cayley step on it mass-preserving. At fold 1 the
+    sector is the whole mesh and A is exactly symmetric, so the sector's
+    A_T is A_T bit for bit, on its own copy of A_T's pattern.
     """
     if np.ndim(shift) or np.ndim(scale):
         raise ValueError("shift and scale must be scalars")
     mesh = op.mesh
-    a_t = op.A_T
-    if fold != 1:
-        n_p, n_s = mesh.n_points, sector_slots(mesh, fold)
-        flux = op.A.tocsr()[sector(mesh, fold)]
-        band_slot = flux.indices // 2
-        cols = 2 * (band_slot // n_p * n_s + band_slot % n_p % n_s) + flux.indices % 2
-        a = sp.csr_matrix((flux.data, cols, flux.indptr), shape=(flux.shape[0],) * 2)
-        a.sum_duplicates()  # for S <= 2 a row meets the same sector slot twice
-        a = ((a + a.T) * 0.5).tocsr()
-        a_t = (sp.diags(1.0 / mesh.areas[sector(mesh, fold)]) @ a).tocsr()
-        a_t.sort_indices()
+    n_p, n_s = mesh.n_points, sector_slots(mesh, fold)
+    in_sector = sector(mesh, fold)
+    flux = op.A.tocsr()[in_sector]
+    band_slot = flux.indices // 2
+    cols = 2 * (band_slot // n_p * n_s + band_slot % n_p % n_s) + flux.indices % 2
+    a = sp.csr_matrix((flux.data, cols, flux.indptr), shape=(flux.shape[0],) * 2)
+    a.sum_duplicates()  # for S <= 2 a row meets the same sector slot twice
+    a = ((a + a.T) * 0.5).tocsr()
+    a_t = (sp.diags(1.0 / mesh.areas[in_sector]) @ a).tocsr()
+    a_t.sort_indices()
     # Every row stores its diagonal: every triangle has an interior edge.
     rows = np.repeat(np.arange(a_t.shape[0]), np.diff(a_t.indptr))
     data = np.multiply(scale, a_t.data, dtype=np.result_type(scale, shift, a_t.data))
@@ -291,15 +290,15 @@ class SlotFFTSolver:
     departs from exact slot invariance by round-off, so callers refine once
     against it (ground_state.checked_solve(solver.solve, solver.matrix,
     ...)); the residual that step forms also carries the round-off of the
-    FFTs and sweeps. The Cayley flow applies the identity to it instead of
-    a second solve (dynamics.KineticFlow), and certifies the refined
-    residual with bounds = residual_bounds(matrix), computed once here
+    FFTs and sweeps. bounds = residual_bounds(matrix) is computed once here
     (~4 ms on paper62's 39 852 values): g >= ||matrix - I||_2 and
-    a >= || |matrix| ||_2. With identity refinement, matrix x1 - b =
-    (matrix - I) r0 in exact arithmetic for the refinement's own residual
-    r0, so g ||r0|| plus rounding terms in a bounds the residual without
-    a second product. Each solve returns a new complex array, so callers
-    may update it in place.
+    a >= || |matrix| ||_2. Passed to checked_solve, as the Cayley flow
+    does (dynamics.KineticFlow), it makes the refinement the identity
+    instead of a second solve: then matrix x1 - b = (matrix - I) r0 in
+    exact arithmetic for the refinement's own residual r0, so g ||r0||
+    plus rounding terms in a bound the residual without a second product.
+    Each solve returns a new complex array, so callers may update it in
+    place.
     """
 
     def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1):

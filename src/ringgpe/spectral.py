@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jv, yv
@@ -148,7 +147,12 @@ class RadialProblem:
 
 def _radial_diagonals(ell: int, n: int,
                       problem: RadialProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and super-diagonal of the interior radial operator, size n-1."""
+    """Sub-, main and super-diagonal of the interior radial operator, size n-1.
+
+    Second-order central differences for both derivative terms; the Dirichlet
+    boundary points are eliminated rather than kept as zero rows, so the
+    spectrum has no spurious zero eigenvalues.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     r = problem.grid(n)[1:-1]
@@ -158,17 +162,6 @@ def _radial_diagonals(ell: int, n: int,
     sub = -inv2m * (1.0 / h ** 2 - 1.0 / (2.0 * h * r[1:]))
     sup = -inv2m * (1.0 / h ** 2 + 1.0 / (2.0 * h * r[:-1]))
     return sub, diag, sup
-
-
-def assemble_radial_operator(ell: int, n: int, problem: RadialProblem) -> sp.csr_matrix:
-    """Interior finite-difference matrix of the radial operator, size n-1.
-
-    Second-order central differences for both derivative terms; the Dirichlet
-    boundary points are eliminated rather than kept as zero rows, so the
-    spectrum has no spurious zero eigenvalues.
-    """
-    sub, diag, sup = _radial_diagonals(ell, n, problem)
-    return sp.diags([sub, diag, sup], offsets=[-1, 0, 1]).tocsr()
 
 
 def radial_modes(ell: int, P: int, n: int,

@@ -117,15 +117,6 @@ def _unwound_shell_phase(u: Field, center: int, lam: int) -> tuple[int, float]:
     return index, abs(quotient - index)
 
 
-def vortex_index(u: Field, record: VortexRecord) -> int:
-    """Phase winding of u around the record's confirming shell.
-
-    Raises ValueError when the field vanishes somewhere on the shell.
-    """
-    index, _ = _unwound_shell_phase(u, record.triangle, record.characteristic_length)
-    return index
-
-
 def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     """Density-minimum detector with shell confirmation and phase unwinding.
 

@@ -1,3 +1,7 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,12 +17,12 @@ from ringgpe.ground_state import (
     energy,
     energy_gradient,
     gradient_flow_step,
-    identity,
     residual_criterion,
 )
-from ringgpe.layout import residual_bounds, slot_shifted
+from ringgpe.layout import ResidualBounds, residual_bounds, slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, trap_field
+from test_harness import thread_env
 
 M_EFF = 10.0
 
@@ -164,6 +168,11 @@ class TestFlow:
             GradientFlowConfig(max_iters=0)
 
 
+# Bounds whose certificate never clears the contract: checked_solve then
+# refines with the identity and decides by the exact residual.
+NEVER_CERTIFIED = ResidualBounds(gap=math.inf, abs_norm=1.0, rounding=0.0, floor=0.0)
+
+
 class TestCheckedSolve:
     MAT = np.diag([1.0, 2.0, 4.0])
     RHS = np.array([1.0, -1.0, 2.0])
@@ -193,24 +202,30 @@ class TestCheckedSolve:
             factor = np.linalg.norm(theta * rhs) / np.linalg.norm(rhs)
             assert factor <= theta.max()
             if passes:
-                x = checked_solve(solve, mat, rhs, "diag", refine=lambda r: r)
+                x = checked_solve(solve, mat, rhs, "diag", NEVER_CERTIFIED)
                 after = np.linalg.norm(mat @ x - rhs)
                 assert after / before == pytest.approx(factor, rel=1e-3)
             else:
                 # 0.339e-7 left: refused, with the refined residual named.
                 with pytest.raises(NumericalError, match="diag residual 3.39"):
-                    checked_solve(solve, mat, rhs, "diag", refine=lambda r: r)
+                    checked_solve(solve, mat, rhs, "diag", NEVER_CERTIFIED)
 
     def test_nan_residual_fails(self):
         with pytest.raises(NumericalError, match="diag residual nan"):
             checked_solve(lambda b: np.full_like(b, np.nan), self.MAT, self.RHS, "diag")
 
     def test_nan_refine_fails(self):
-        # The solve is exact; only the refinement spoils x, so the check
-        # runs on the refined x.
+        # The first solve is exact; only the refinement, the second solve,
+        # spoils x, so the check runs on the refined x.
+        calls = []
+
+        def solve(b):
+            calls.append(b)
+            return b / np.diag(self.MAT) if len(calls) == 1 else np.full_like(b, np.nan)
+
         with pytest.raises(NumericalError, match="diag residual nan"):
-            checked_solve(lambda b: b / np.diag(self.MAT), self.MAT, self.RHS, "diag",
-                          refine=lambda r: np.full_like(r, np.nan))
+            checked_solve(solve, self.MAT, self.RHS, "diag")
+        assert len(calls) == 2
 
     def test_zero_rhs_gives_zero(self):
         x = checked_solve(lambda b: b / 0.0, self.MAT, np.zeros(3, complex), "diag")
@@ -221,7 +236,8 @@ class TestCheckedSolve:
         # 1e-7 rhs, so the certificate is ~max(theta) 1e-7 ||rhs||. For
         # theta ~ 1e-4 that clears the contract with one product; for
         # theta ~ 0.1 it does not, and the exact residual decides with a
-        # second product, as without bounds, and names the same value.
+        # second product, as where the certificate never clears, and names
+        # the same value.
         rhs = self.RHS.astype(complex)
         for theta, products in ((np.array([1e-4, 2e-4, 4e-4]), 1),
                                 (np.array([0.1, 0.2, 0.4]), 2)):
@@ -232,28 +248,71 @@ class TestCheckedSolve:
                 return (1 + 1e-7) * b / np.diag(mat.mat)
 
             if products == 1:
-                want = checked_solve(solve, mat.mat, rhs, "diag", refine=identity)
-                got = checked_solve(solve, mat, rhs, "diag", identity, bounds)
+                want = checked_solve(solve, mat.mat, rhs, "diag", NEVER_CERTIFIED)
+                got = checked_solve(solve, mat, rhs, "diag", bounds)
                 assert np.array_equal(got, want)
             else:
                 with pytest.raises(NumericalError, match="diag residual 3.39"):
-                    checked_solve(solve, mat, rhs, "diag", identity, bounds)
+                    checked_solve(solve, mat, rhs, "diag", bounds)
             assert mat.products == products
 
     def test_without_bounds_every_check_is_exact(self):
-        # refine=None (the gradient flow's second solve) and the identity
-        # without bounds both compute the refined residual.
-        for refine in (None, identity):
+        # Without bounds (the gradient flow's second solve), and with bounds
+        # that never clear, the refined residual is computed.
+        for bounds in (None, NEVER_CERTIFIED):
             mat = CountingMatrix(self.MAT)
-            checked_solve(lambda b: b / np.diag(self.MAT), mat, self.RHS, "diag", refine)
+            checked_solve(lambda b: b / np.diag(self.MAT), mat, self.RHS, "diag", bounds)
             assert mat.products == 2
 
-    def test_bounds_certify_only_the_identity(self):
-        bounds = residual_bounds(sp.csr_matrix(self.MAT))
-        for refine in (None, lambda r: r):
-            with pytest.raises(ValueError, match="identity refinement"):
-                checked_solve(lambda b: b / np.diag(self.MAT), self.MAT, self.RHS, "diag",
-                              refine, bounds)
+    def test_bounds_pick_the_refinement(self):
+        # Without bounds the refinement is a second solve; with them it is
+        # the identity, x = x0 + r0, and the one solve is the only one.
+        rhs = self.RHS.astype(complex)
+        for bounds, want_calls in ((None, 2), (NEVER_CERTIFIED, 1),
+                                   (residual_bounds(sp.csr_matrix(self.MAT)), 1)):
+            calls = []
+
+            def solve(b):
+                calls.append(b)
+                return (1 + 1e-12) * b / np.diag(self.MAT)
+
+            x = checked_solve(solve, self.MAT, rhs, "diag", bounds)
+            x0 = (1 + 1e-12) * rhs / np.diag(self.MAT)
+            r0 = rhs - self.MAT @ x0
+            if bounds is None:
+                assert np.array_equal(x, x0 + (1 + 1e-12) * r0 / np.diag(self.MAT))
+            else:
+                assert np.array_equal(x, x0 + r0)
+            assert len(calls) == want_calls
+
+
+# The energy of a fixed field on the paper62 mesh (39 852 values: above
+# the length from which OpenBLAS splits a dot product across threads).
+ENERGY_CHILD = """
+import numpy as np
+from ringgpe.config import preset_config
+from ringgpe.fv import Field, assemble_laplacian
+from ringgpe.ground_state import energy
+from ringgpe.mesh import build_ring_mesh
+from ringgpe.potentials import trap_field
+cfg = preset_config("paper62")
+mesh = build_ring_mesh(cfg.mesh)
+rng = np.random.default_rng(62)
+u = Field(mesh, rng.standard_normal(mesh.n_triangles)
+          + 1j * rng.standard_normal(mesh.n_triangles))
+op = assemble_laplacian(mesh, cfg.bc)
+print(repr(energy(u, trap_field(cfg.potential, mesh), op, cfg.potential.m, cfg.gamma)))
+"""
+
+
+def test_energy_does_not_depend_on_the_thread_count():
+    # energy feeds the hashed observables.csv, so its bits must not follow
+    # the BLAS thread count of the machine that runs it.
+    values = [subprocess.run([sys.executable, "-c", ENERGY_CHILD], env=thread_env(threads),
+                             check=True, capture_output=True, text=True,
+                             timeout=300).stdout
+              for threads in (1, 2)]
+    assert values[0] == values[1]
 
 
 class CountingMatrix:

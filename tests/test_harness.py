@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringgpe
+from ringgpe.cli import _THREAD_VARS
 from ringgpe.config import parse_config
 from ringgpe.errors import ConfigError, NumericalError
 from ringgpe import harness
@@ -42,6 +48,14 @@ time_k_min = 3
 time_k_max = 4
 time_t_max = 0.04
 """
+
+
+def thread_env(threads: int) -> dict:
+    """The environment of a child process that runs the package with
+    `threads` BLAS and OpenMP threads, whatever this process was given."""
+    src = str(Path(ringgpe.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **{name: str(threads) for name in _THREAD_VARS}}
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +272,18 @@ gamma = 0.0
         result = run_time_convergence(cfg, tmp_path)
         for m_phi in result.orders.values():
             assert m_phi == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.slow
+def test_paper62_manifest_does_not_depend_on_the_thread_count(tmp_path):
+    # Every hashed artifact is the same at one and at two threads, so the
+    # manifests agree byte for byte.
+    manifests = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        cmd = [sys.executable, "-m", "ringgpe.cli", "pipeline", "--preset", "paper62",
+               "--threads", str(threads), "--out", str(out)]
+        subprocess.run(cmd, env=thread_env(threads), check=True, capture_output=True,
+                       timeout=600)
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]

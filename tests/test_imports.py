@@ -1,7 +1,9 @@
 """Every name a module of the package imports is referenced in that module,
-and every name the package exports is defined where its export table says."""
+and every name the package exports is defined where its export table says
+and has a caller in the package or a mention in README.md."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import ringgpe
 
 PACKAGE = Path(ringgpe.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,16 +37,38 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def defined_names(node: ast.stmt) -> set[str]:
+    """The function, class or assigned names that one top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def top_level_names(source: str) -> set[str]:
     """Functions, classes and assigned names at the top level of a module."""
-    names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+    return set().union(*map(defined_names, ast.parse(source).body))
+
+
+def referenced_words(source: str) -> set[str]:
+    """Words of a module, in code, docstrings or comments, outside the
+    top-level definition of each."""
+    lines = source.splitlines()
+    own = [set() for _ in lines]
+    for top in ast.parse(source).body:
+        for i in range(top.lineno - 1, top.end_lineno):
+            own[i] = defined_names(top)
+    return set().union(*(set(re.findall(r"\w+", line)) - names
+                         for line, names in zip(lines, own)))
+
+
+def unreferenced_exports(exports: dict, sources: list[str], readme: str) -> list[str]:
+    """Exported names that no module refers to and README does not mention."""
+    used = set().union(*map(referenced_words, sources))
+    return sorted(name for names in exports.values() for name in names
+                  if name not in used and not re.search(rf"\b{name}\b", readme))
 
 
 def test_every_public_name_resolves():
@@ -58,6 +83,29 @@ def test_exports_are_defined_in_their_module():
              for name in names
              if name not in top_level_names((PACKAGE / f"{module}.py").read_text())]
     assert stray == []
+
+
+def test_every_export_has_a_caller_in_the_package_or_readme():
+    # A public name that only tests call belongs in the tests that use it.
+    # The export table in __init__ names every export and calls none.
+    sources = [path.read_text() for path in MODULES if path.name != "__init__.py"]
+    assert unreferenced_exports(ringgpe._EXPORTS, sources, README.read_text()) == []
+
+
+def test_reference_check_skips_own_definition():
+    exports = {"m": ("helper", "fact", "called", "attr_only", "described", "documented")}
+    source = (
+        "def helper(n):\n"
+        "    return helper(n - 1)\n"
+        "fact = 1\n"
+        "def called():\n"
+        "    \"\"\"Unlike described, ...\"\"\"\n"
+        "    return fact\n"
+        "def attr_only():\n"
+        "    pass\n"
+        "x = called() + obj.attr_only\n"
+    )
+    assert unreferenced_exports(exports, [source], "use `documented`") == ["helper"]
 
 
 def test_finds_modules():

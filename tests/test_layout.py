@@ -14,6 +14,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from ringgpe import dynamics, ground_state, layout
+from ringgpe.config import preset_config
 from ringgpe.errors import NumericalError
 from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, make_unstable_state
 from ringgpe.fv import Field, assemble_laplacian, norm, normalize
@@ -241,6 +242,16 @@ class TestLayout:
         assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-14
 
 
+def fold1_sector_matrix(op, shift, scale):
+    """sector_matrix's former fold-1 path (reference): scale times A_T's
+    data, plus shift on the diagonal, on A_T's own indices and indptr."""
+    a_t = op.A_T
+    rows = np.repeat(np.arange(a_t.shape[0]), np.diff(a_t.indptr))
+    data = np.multiply(scale, a_t.data, dtype=np.result_type(scale, shift, a_t.data))
+    data[a_t.indices == rows] += shift
+    return sp.csr_matrix((data, a_t.indices, a_t.indptr), shape=a_t.shape)
+
+
 class TestShifted:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_cayley_matrix_is_identity_minus_z_operator(self, mesh, bc):
@@ -266,6 +277,27 @@ class TestShifted:
         assert np.array_equal(got.indices, op.A_T.indices)
         assert np.array_equal(got.indptr, op.A_T.indptr)
         assert np.array_equal(op.A_T.data, kept)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name", ["h = 0.2", "desk", "paper62"])
+    def test_fold_one_matches_the_former_fold_one_path(self, name, bc, desk_mesh):
+        # Fold 1 runs the general wrap-and-symmetrize path. A is exactly
+        # symmetric, so (A + A^T)/2 = A and diag(1/area) A = A_T bit for bit.
+        if name == "desk":
+            mesh = desk_mesh
+        else:
+            params = MESHES["odd"] if name == "h = 0.2" else preset_config("paper62").mesh
+            mesh = build_ring_mesh(params)
+        op = assemble_laplacian(mesh, bc)
+        for case in ("real", "complex"):
+            shift, scale = SOLVER_CASES[case]
+            got = sector_matrix(op, shift, scale, 1)
+            want = fold1_sector_matrix(op, shift, scale)
+            assert got.format == "csr" and got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                got_part, want_part = getattr(got, part), getattr(want, part)
+                assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got_part, want_part)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("fold", [1, 3])

@@ -19,7 +19,6 @@ from ringgpe.dynamics import (
     SplitStepConfig,
     evolve,
     make_unstable_state,
-    strang_step,
 )
 import ringgpe.ground_state as gs_mod
 from ringgpe.errors import NumericalError
@@ -42,6 +41,7 @@ from ringgpe.layout import (
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, phase_table
+from test_dynamics import strang_step
 from test_fv import SMALL_MESHES
 from test_ground_state import CountingMatrix
 from test_layout import SOLVER_CASES, StackedGttrsSolver, solver_with_blocks
