@@ -24,8 +24,7 @@ _EXPORTS = {
     ),
     "ground_state": (
         "GradientFlowConfig", "GroundStateResult", "SlotInvariantProblem",
-        "compute_ground_state", "energy", "energy_gradient", "gradient_flow_step",
-        "residual_criterion",
+        "compute_ground_state", "energy", "gradient_flow_step",
     ),
     "dynamics": (
         "EvolveResult", "KineticFlow", "SplitStepConfig", "evolve",

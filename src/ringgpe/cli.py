@@ -120,9 +120,10 @@ def _run(args) -> int:
             if result.evolution is not None:
                 ev = result.evolution
                 n_p = result.mesh.n_points
+                sign = ", antiperiodic" if ev.sign < 0 else ""
                 print(f"evolved to t = {ev.times[-1]:g}: mass {ev.mass[-1]:.12f}, "
                       f"energy {ev.energy[-1]:.6f} "
-                      f"(sector k={ev.fold}, {n_p // ev.fold} of {n_p} slots)")
+                      f"(sector k={ev.fold}{sign}, {n_p // ev.fold} of {n_p} slots)")
             for method, records in result.vortices.items():
                 charges = ", ".join(str(r.index_or_sign) for r in records) or "none"
                 print(f"{method}: {len(records)} detection(s) [{charges}]")

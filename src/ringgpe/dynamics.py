@@ -21,11 +21,13 @@ time-independent factors of its integral there; KineticFlow the values of
 its sector. evolve builds the table and the flow once, for its sector.
 
 Both flows commute with every rotation that maps the mesh and the potential
-onto themselves. evolve therefore runs on the rotation sector that the
-initial state and the stirrer share (layout.sector): with k the largest
-divisor of gcd(n_theta, N_p) (of N_p for a static potential) for which u0
-repeats exactly every N_p/k slots, it steps only the first N_p/k slots and
-tiles them for every emission. With k = 1 the sector is the whole mesh.
+onto themselves, and with negation. evolve therefore runs on the rotation
+sector that the initial state and the stirrer share (layout.sector): with k
+the largest divisor of gcd(n_theta, N_p) (of N_p for a static potential)
+for which u0 repeats exactly every N_p/k slots, or changes sign exactly
+every N_p/k slots with k even (sign -1, layout.invariant_fold), it steps
+only the first N_p/k slots and tiles them, with the sign, for every
+emission. With k = 1 the sector is the whole mesh.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
 from .ground_state import checked_solve, energy
-from .layout import SlotFFTSolver, invariant_fold, sector, tile
+from .layout import SlotFFTSolver, invariant_fold, sector, slot_view, tile
 from .potentials import PhaseTable, PotentialParams, phase_integral, phase_table, total_field
 
 
@@ -85,7 +87,7 @@ class KineticFlow:
 
     With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
     a step is one solve M x = u and returns 2x - u. The flow holds one
-    layout.SlotFFTSolver(op, 1, -z, fold), factored once and reused across
+    layout.SlotFFTSolver(op, 1, -z, fold, sign), factored once and reused across
     steps; every solve is refined once against its matrix, M on the sector,
     and checked against the residual contract on it
     (ground_state.checked_solve, given the solver's bounds). The
@@ -103,15 +105,17 @@ class KineticFlow:
     decides.
 
     apply maps the values of a field's sector (layout.sector; at fold 1,
-    of every triangle) to those of its image.
+    of every triangle) to those of its image; with sign -1 the field
+    changes sign from one sector to the next.
     """
 
-    def __init__(self, op: LaplacianOperator, tau: float, m: float, fold: int = 1):
+    def __init__(self, op: LaplacianOperator, tau: float, m: float, fold: int = 1,
+                 sign: int = 1):
         if not (tau > 0.0 and m > 0.0):
             raise ValueError("tau and m must be positive")
         self.tau = tau
         z = 1j * tau / (4.0 * m)
-        self._solver = SlotFFTSolver(op, 1.0, -z, fold)
+        self._solver = SlotFFTSolver(op, 1.0, -z, fold, sign)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         minus = self._solver.matrix
@@ -134,6 +138,7 @@ class EvolveResult:
     snapshots: list[Field]
     final: Field
     fold: int  # the run stepped N_p/fold slots (layout.sector)
+    sign: int  # +1, or -1 where the state changes sign from sector to sector
 
 
 def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
@@ -147,8 +152,8 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
     t_max. Aborts with the step index if the state stops being finite.
 
     The steps run on the sector of the largest fold k that the stirrer
-    allows and u0 keeps exactly (see the module docstring); emissions and
-    the final state see the field tiled from it.
+    allows and u0 keeps exactly, up to a sign (see the module docstring);
+    emissions and the final state see the field tiled from it.
     """
     if u0.mesh is not op.mesh:
         raise ValueError("field mesh does not match operator mesh")
@@ -160,8 +165,8 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
     stride = config.snapshot_stride
     # The stirrer repeats every 2 pi/n_theta, the mesh every 2 pi/N_p.
     stirrer_fold = math.gcd(params.n_theta, mesh.n_points) if params.V_p != 0.0 else mesh.n_points
-    fold = invariant_fold(mesh, u0.values, stirrer_fold)
-    kinetic = KineticFlow(op, tau, m, fold)
+    fold, sign = invariant_fold(mesh, u0.values, stirrer_fold)
+    kinetic = KineticFlow(op, tau, m, fold, sign)
     in_sector = sector(mesh, fold)
     table = phase_table(params, mesh.centers[in_sector])
 
@@ -182,7 +187,7 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
             on_emit(step, t, psi)
 
     def tiled(psi: np.ndarray) -> Field:
-        return Field(mesh, tile(mesh, psi, fold))
+        return Field(mesh, tile(mesh, psi, fold, sign))
 
     emit(0, Field(mesh, u0.values.astype(np.complex128)))
 
@@ -214,6 +219,7 @@ def evolve(u0: Field, op: LaplacianOperator, params: PotentialParams, m: float,
         snapshots=snapshots,
         final=final,
         fold=fold,
+        sign=sign,
     )
 
 
@@ -223,12 +229,25 @@ def make_unstable_state(u_gs: Field) -> Field:
     Flips the sign for x > 0 and damps by exp(-0.1/|x|) so the flip is smooth
     across the x = 0 line, then renormalizes. The result is orthogonal-ish to
     the ground state and dynamically unstable under the full flow.
+
+    The profile is odd in x, and for even N_p the half-turn, N_p/2 slots,
+    maps x to -x. The profile is then computed on the first N_p/2 slots and
+    negated onto the others, so that a slot-invariant u_gs gives a state
+    that changes sign exactly under the half-turn (evolve steps it at fold
+    2, sign -1); from the circumcenters of both halves it would do so only
+    up to their rounding.
     """
-    x = u_gs.mesh.centers[:, 0]
+    mesh = u_gs.mesh
+    x = mesh.centers[:, 0]
+    half = mesh.n_points % 2 == 0
+    if half:
+        x = slot_view(mesh, x)[:, :mesh.n_points // 2]
     sign = np.where(x > 0.0, 1.0, -1.0)
     with np.errstate(divide="ignore"):
-        damp = np.exp(-0.1 / np.abs(x))
-    return normalize(Field(u_gs.mesh, u_gs.values * sign * damp))
+        profile = sign * np.exp(-0.1 / np.abs(x))
+    if half:
+        profile = tile(mesh, profile, 2, -1)
+    return normalize(Field(mesh, u_gs.values * profile))
 
 
 def order_estimate(y_coarse: Field, y_mid: Field, y_fine: Field) -> float:

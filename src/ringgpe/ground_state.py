@@ -11,8 +11,7 @@ field to a slot-invariant one, so every iterate lies in slot mode 0: one
 value per (band, kind), in the row order of layout.slot_symbol. The flow
 runs on those 2*n_bands rows (SlotInvariantProblem), where each step is a
 tridiagonal solve, and the result is tiled onto the mesh, so it is exactly
-slot-invariant. energy, energy_gradient and residual_criterion are the
-same quantities for any field on the mesh.
+slot-invariant. energy is the same quantity for any field on the mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericalError
-from .fv import Field, LaplacianOperator, inner_product, norm
+from .fv import Field, LaplacianOperator
 from .layout import ResidualBounds, mode0_rows, tile_mode0
 
 # Relative residual contract for every inner linear solve.
@@ -163,22 +162,6 @@ def energy(u: Field, trap: Field, op: LaplacianOperator, m: float, gamma: float)
     pot = float(np.sum(trap.values.real * dens * a))
     quart = 0.5 * gamma * float(np.sum(dens * dens * a))
     return kin + pot + quart
-
-
-def energy_gradient(u: Field, trap: Field, op: LaplacianOperator,
-                    m: float, gamma: float) -> Field:
-    """Gradient for the area-weighted real inner product:
-    -(1/m) A_T U + 2 V U + 2 gamma |U|^2 U."""
-    g = (-1.0 / m) * (op.A_T @ u.values) \
-        + 2.0 * trap.values.real * u.values \
-        + 2.0 * gamma * u.abs2() * u.values
-    return Field(u.mesh, g)
-
-
-def residual_criterion(u: Field, grad: Field) -> float:
-    """Norm of the gradient projected on the tangent of the unit sphere at u."""
-    proj = grad.values - inner_product(grad, u) * u.values
-    return norm(Field(u.mesh, proj))
 
 
 class _Tridiagonal:

@@ -26,6 +26,17 @@ columns of the sector's rows into the sector. For k = 1 the sector is the
 whole mesh and folding and tiling are identities. The gradient flow lives
 in mode 0 (k = N_p), one value per (band, kind) (mode0_rows).
 
+A field may instead change sign every N_p/k slots, u(s + S) = -u(s), with
+k even so that k such shifts return it to itself: an antiperiodic sector,
+sign -1 (the periodic one is sign +1). Its slot FFT lives on the modes
+q = k p + k/2, which a length-S FFT reaches after the ramp exp(-i pi s/S)
+over the sector's slots; a column that wraps w times around the sector
+takes the factor sign^w, and tiling negates every odd copy. Every
+slot-invariant operator commutes with the sign, so the sector carries the
+field as before. Only sign +1 and -1 are supported: negation is exact, a
+complex phase is not, and the sign is detected by exact equality, as the
+fold is (invariant_fold).
+
 The same rotation maps the triangle adjacency graph onto itself, so a set
 of triangles found around slot 0 serves every slot once shifted along the
 slot axis (slot_shifted); the density detector uses this for its shells.
@@ -104,10 +115,12 @@ def slot_defect(mesh: RingMesh, values: np.ndarray) -> float:
     return float(np.ptp(slot_view(mesh, values), axis=1).max())
 
 
-def sector_slots(mesh: RingMesh, fold: int) -> int:
-    """S = N_p/fold, the slot count of the sector of fields repeating every S slots."""
+def sector_slots(mesh: RingMesh, fold: int, sign: int = 1) -> int:
+    """S = N_p/fold, the slot count of the sector of fields with u(s + S) = sign u(s)."""
     if fold < 1 or mesh.n_points % fold:
         raise ValueError(f"fold {fold} does not divide N_p = {mesh.n_points}")
+    if not (sign == 1 or (sign == -1 and fold % 2 == 0)):
+        raise ValueError(f"sign {sign} at fold {fold}: the sign is +1, or -1 at an even fold")
     return mesh.n_points // fold
 
 
@@ -117,49 +130,63 @@ def sector(mesh: RingMesh, fold: int) -> np.ndarray:
     return idx[:, :sector_slots(mesh, fold)].reshape(-1)
 
 
-def tile(mesh: RingMesh, values: np.ndarray, fold: int) -> np.ndarray:
-    """The per-triangle array that repeats sector values fold times along the slots."""
-    v = np.asarray(values).reshape(mesh.n_bands, sector_slots(mesh, fold), 2)
-    return np.tile(v, (1, fold, 1)).reshape(-1)
+def tile(mesh: RingMesh, values: np.ndarray, fold: int, sign: int = 1) -> np.ndarray:
+    """The per-triangle array that repeats sector values fold times along
+    the slots, each copy sign times the one before."""
+    n_s = sector_slots(mesh, fold, sign)
+    copies = np.tile(np.asarray(values).reshape(mesh.n_bands, 1, n_s, 2), (1, fold, 1, 1))
+    if sign < 0:
+        copies[:, 1::2] *= -1
+    return copies.reshape(-1)
 
 
-def invariant_fold(mesh: RingMesh, values: np.ndarray, k0: int) -> int:
-    """Largest divisor k of k0 for which values repeats every N_p/k slots.
+def invariant_fold(mesh: RingMesh, values: np.ndarray, k0: int) -> tuple[int, int]:
+    """(k, sign): the largest divisor k of k0 for which values[s + N_p/k] = sign values[s].
 
-    Repetition is tested by exact equality, so a symmetry broken at
-    round-off counts as broken. k0 must divide N_p.
+    Each k tries sign +1 first, then -1 if k is even. Both are tested by
+    exact equality, so a symmetry broken at round-off counts as broken;
+    with none kept the result is (1, 1). k0 must divide N_p.
     """
     sector_slots(mesh, k0)
     v = slot_view(mesh, values)
     for k in range(k0, 1, -1):
-        if k0 % k == 0 and np.array_equal(v, np.roll(v, mesh.n_points // k, axis=1)):
-            return k
-    return 1
+        if k0 % k:
+            continue
+        shifted = np.roll(v, mesh.n_points // k, axis=1)
+        if np.array_equal(v, shifted):
+            return k, 1
+        if k % 2 == 0 and np.array_equal(v, -shifted):
+            return k, -1
+    return 1, 1
 
 
 def sector_matrix(op: LaplacianOperator, shift: complex, scale: complex,
-                  fold: int = 1) -> sp.csr_matrix:
-    """shift I + scale A_T as a CSR matrix on the sectors of fields repeating every N_p/fold slots.
+                  fold: int = 1, sign: int = 1) -> sp.csr_matrix:
+    """shift I + scale A_T as a CSR matrix on the sectors of fields with
+    u(s + N_p/fold) = sign u(s).
 
     shift and scale are scalars. The sector's A_T is assembled as A_T is,
     diag(1/area) A, from the sector's rows of the flux form A with their
-    columns wrapped into the sector, so that A_T tile(x) is tiled from its
-    product with x up to round-off. The mesh repeats under rotation only to
-    round-off, so those rows are symmetric only to ~1e-13 on paper62; they
-    are symmetrized, which keeps the sector's A_T self-adjoint for the
-    sector's areas and a Cayley step on it mass-preserving. At fold 1 the
-    sector is the whole mesh and A is exactly symmetric, so the sector's
-    A_T is A_T bit for bit, on its own copy of A_T's pattern.
+    columns wrapped into the sector, each times sign^(number of wraps), so
+    that A_T tile(x) is tiled from its product with x up to round-off. The
+    mesh repeats under rotation only to round-off, so those rows are
+    symmetric only to ~1e-13 on paper62; they are symmetrized, which keeps
+    the sector's A_T self-adjoint for the sector's areas and a Cayley step
+    on it mass-preserving. With sign -1 the wrapped rows are symmetric to
+    the same round-off, as sign^k = 1 at even k. At fold 1 the sector is the
+    whole mesh and A is exactly symmetric, so the sector's A_T is A_T bit
+    for bit, on its own copy of A_T's pattern.
     """
     if np.ndim(shift) or np.ndim(scale):
         raise ValueError("shift and scale must be scalars")
     mesh = op.mesh
-    n_p, n_s = mesh.n_points, sector_slots(mesh, fold)
+    n_p, n_s = mesh.n_points, sector_slots(mesh, fold, sign)
     in_sector = sector(mesh, fold)
     flux = op.A.tocsr()[in_sector]
-    band_slot = flux.indices // 2
-    cols = 2 * (band_slot // n_p * n_s + band_slot % n_p % n_s) + flux.indices % 2
-    a = sp.csr_matrix((flux.data, cols, flux.indptr), shape=(flux.shape[0],) * 2)
+    band, slot = np.divmod(flux.indices // 2, n_p)
+    cols = 2 * (band * n_s + slot % n_s) + flux.indices % 2
+    data = flux.data if sign > 0 else np.where(slot // n_s % 2, -flux.data, flux.data)
+    a = sp.csr_matrix((data, cols, flux.indptr), shape=(flux.shape[0],) * 2)
     a.sum_duplicates()  # for S <= 2 a row meets the same sector slot twice
     a = ((a + a.T) * 0.5).tocsr()
     a_t = (sp.diags(1.0 / mesh.areas[in_sector]) @ a).tocsr()
@@ -255,10 +282,14 @@ def slot_symbol(mesh: RingMesh, mat: sp.spmatrix) -> np.ndarray:
 class SlotFFTSolver:
     """Solve (shift I + scale A_T) x = b by FFT over slots, on a sector.
 
-    shift and scale are scalars. With fold k, b and x are the sectors
-    (layout.tile) of fields repeating every S = N_p/k slots; their slot FFT
-    lives on the modes q = k p, so only those modes of op.slot_symbol are
-    factored and a solve takes length-S FFTs. Fold 1 is the whole mesh.
+    shift and scale are scalars. With fold k and sign +1, b and x are the
+    sectors (layout.tile) of fields repeating every S = N_p/k slots; their
+    slot FFT lives on the modes q = k p, so only those modes of
+    op.slot_symbol are factored and a solve takes length-S FFTs. Fold 1 is
+    the whole mesh. With sign -1 the fields change sign every S slots and
+    live on the modes q = k p + k/2: b is multiplied by exp(-i pi s/S)
+    before its FFT and the result by exp(i pi s/S) after, which maps those
+    modes onto the length-S FFT's.
 
     The factorization is an LU without pivoting of every mode's tridiagonal
     system, done for all modes at once row by row. A solve writes the slot
@@ -286,7 +317,7 @@ class SlotFFTSolver:
     the factorization raises NumericalError when a pivot is not finite or
     falls below PIVOT_TOL of its row's 1-norm.
 
-    The assembled system, matrix = sector_matrix(op, shift, scale, fold),
+    The assembled system, matrix = sector_matrix(op, shift, scale, fold, sign),
     departs from exact slot invariance by round-off, so callers refine once
     against it (ground_state.checked_solve(solver.solve, solver.matrix,
     ...)); the residual that step forms also carries the round-off of the
@@ -301,15 +332,21 @@ class SlotFFTSolver:
     place.
     """
 
-    def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1):
-        self.matrix = sector_matrix(op, shift, scale, fold)
+    def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1,
+                 sign: int = 1):
+        self.matrix = sector_matrix(op, shift, scale, fold, sign)
         self.bounds = residual_bounds(self.matrix)
         mesh = self.mesh = op.mesh
-        self.n_slots = sector_slots(mesh, fold)
+        n_slots = self.n_slots = sector_slots(mesh, fold, sign)
+        first = fold // 2 if sign < 0 else 0  # the sector's modes are q = fold p + first
+        self._ramp = None
+        if sign < 0:
+            ramp = np.exp(-1j * np.pi / n_slots * np.arange(n_slots))[:, None]
+            self._ramp = (ramp, np.conj(ramp))
         # Rows j, modes along the second axis. Row 0 has no lower and the
         # last row no upper neighbour: nothing lies below band 0 or above
         # the last band.
-        symbol = op.slot_symbol[:, ::fold]
+        symbol = op.slot_symbol[:, first::fold]
         lower, diag, upper = np.ascontiguousarray((scale * symbol).transpose(0, 2, 1))
         diag += shift
         mult = np.zeros_like(diag)
@@ -324,16 +361,16 @@ class SlotFFTSolver:
         if bad.any():
             j, p = np.argwhere(bad)[0]  # the first row that fails, then its first mode
             raise NumericalError(
-                f"slot mode {p * fold}: pivot {pivot[j, p]:.3e} in row {j} (band {j // 2}, "
+                f"slot mode {p * fold + first}: pivot {pivot[j, p]:.3e} in row {j} (band {j // 2}, "
                 f"kind {1 - j % 2}) is below PIVOT_TOL of its row or not finite")
         inv_pivot = 1.0 / pivot
         n_rows = len(pivot)
-        blocks = sweep_blocks(n_rows, self.n_slots)
+        blocks = sweep_blocks(n_rows, n_slots)
         size = block_rows(n_rows, blocks)
         # Rows past the last one pad the last block: with no couplings and
         # pivot 1 they stay 0 and change no other row.
         padded = blocks * size - n_rows
-        self._padding = np.zeros((padded // 2, self.n_slots, 2))
+        self._padding = np.zeros((padded // 2, n_slots, 2))
 
         def by_row(a, fill=0.0):
             # (row, mode) -> (row i of a block, block, mode)
@@ -356,6 +393,8 @@ class SlotFFTSolver:
         n_bands, n_slots = self.mesh.n_bands, self.n_slots
         size, blocks = self._mult.shape[:2]
         xb = np.reshape(b, (n_bands, n_slots, 2))
+        if self._ramp is not None:
+            xb = xb * self._ramp[0]
         if len(self._padding):
             xb = np.concatenate([xb, self._padding])
         # Row i of block k is (band k*size/2 + i // 2, kind 1 - i % 2) of the
@@ -390,4 +429,7 @@ class SlotFFTSolver:
             np.add(end, tmp[0], out=end)
         work[:, :-1] += gain * carry
         by_band = work.reshape(size // 2, 2, blocks, n_slots).transpose(2, 0, 3, 1)[..., ::-1]
-        return scipy.fft.ifft(by_band, axis=2).reshape(-1)[:2 * n_bands * n_slots]
+        x = scipy.fft.ifft(by_band, axis=2)
+        if self._ramp is not None:
+            x *= self._ramp[1]
+        return x.reshape(-1)[:2 * n_bands * n_slots]

@@ -202,6 +202,15 @@ class TestCommands:
                          "--out", str(tmp_path / "ev")]) == 0
         assert "(sector k=63, 1 of 63 slots)" in capsys.readouterr().out
 
+    def test_evolve_summary_names_an_antiperiodic_sector(self, tmp_path, capsys):
+        # On N_p = 64 slots the unstable state changes sign under the
+        # half-turn, so the run steps half of the ring at sign -1.
+        path = tmp_path / "unstable.ini"
+        path.write_text(TINY.replace("\nh = 0.2\n", "\nh = 0.2\nn_points = 64\n")
+                        .replace("t_max = 0.05", "t_max = 0.05\ninitial = unstable"))
+        assert cli.main(["evolve", "--config", str(path), "--out", str(tmp_path / "ev")]) == 0
+        assert "(sector k=2, antiperiodic, 32 of 64 slots)" in capsys.readouterr().out
+
     def test_conv_space(self, tiny_path, tmp_path, capsys):
         out = tmp_path / "space"
         assert cli.main(["conv-space", "--config", tiny_path,

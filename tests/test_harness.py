@@ -275,13 +275,15 @@ gamma = 0.0
 
 
 @pytest.mark.slow
-def test_paper62_manifest_does_not_depend_on_the_thread_count(tmp_path):
+@pytest.mark.parametrize("preset", ["paper62", "unstable-neumann"])
+def test_manifest_does_not_depend_on_the_thread_count(tmp_path, preset):
     # Every hashed artifact is the same at one and at two threads, so the
-    # manifests agree byte for byte.
+    # manifests agree byte for byte: on the stirred sector of paper62 and
+    # on the antiperiodic half-ring of unstable-neumann.
     manifests = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
-        cmd = [sys.executable, "-m", "ringgpe.cli", "pipeline", "--preset", "paper62",
+        cmd = [sys.executable, "-m", "ringgpe.cli", "pipeline", "--preset", preset,
                "--threads", str(threads), "--out", str(out)]
         subprocess.run(cmd, env=thread_env(threads), check=True, capture_output=True,
                        timeout=600)

@@ -52,21 +52,20 @@ def top_level_names(source: str) -> set[str]:
     return set().union(*map(defined_names, ast.parse(source).body))
 
 
-def referenced_words(source: str) -> set[str]:
-    """Words of a module, in code, docstrings or comments, outside the
-    top-level definition of each."""
-    lines = source.splitlines()
-    own = [set() for _ in lines]
-    for top in ast.parse(source).body:
-        for i in range(top.lineno - 1, top.end_lineno):
-            own[i] = defined_names(top)
-    return set().union(*(set(re.findall(r"\w+", line)) - names
-                         for line, names in zip(lines, own)))
+def referenced_names(source: str) -> set[str]:
+    """Names and attributes that a module's code loads, outside the
+    top-level definition of each. Docstrings and comments do not count."""
+    def loaded(top):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+    return set().union(*(loaded(top) - defined_names(top) for top in ast.parse(source).body))
 
 
 def unreferenced_exports(exports: dict, sources: list[str], readme: str) -> list[str]:
     """Exported names that no module refers to and README does not mention."""
-    used = set().union(*map(referenced_words, sources))
+    used = set().union(*map(referenced_names, sources))
     return sorted(name for names in exports.values() for name in names
                   if name not in used and not re.search(rf"\b{name}\b", readme))
 
@@ -93,19 +92,23 @@ def test_every_export_has_a_caller_in_the_package_or_readme():
 
 
 def test_reference_check_skips_own_definition():
-    exports = {"m": ("helper", "fact", "called", "attr_only", "described", "documented")}
+    # A call from its own definition and a mention in a docstring or a
+    # comment are not callers.
+    exports = {"m": ("helper", "fact", "called", "attr_only", "described", "commented",
+                     "documented")}
     source = (
         "def helper(n):\n"
         "    return helper(n - 1)\n"
         "fact = 1\n"
         "def called():\n"
         "    \"\"\"Unlike described, ...\"\"\"\n"
-        "    return fact\n"
+        "    return fact  # not commented\n"
         "def attr_only():\n"
         "    pass\n"
         "x = called() + obj.attr_only\n"
     )
-    assert unreferenced_exports(exports, [source], "use `documented`") == ["helper"]
+    assert unreferenced_exports(exports, [source], "use `documented`") == [
+        "commented", "described", "helper"]
 
 
 def test_finds_modules():

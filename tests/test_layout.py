@@ -25,9 +25,7 @@ from ringgpe.ground_state import (
     checked_solve,
     compute_ground_state,
     energy,
-    energy_gradient,
     gradient_flow_step,
-    residual_criterion,
 )
 from ringgpe.layout import (
     SlotFFTSolver,
@@ -41,6 +39,7 @@ from ringgpe.layout import (
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
 from ringgpe.potentials import PotentialParams, trap_field
+from test_ground_state import energy_gradient, residual_criterion
 
 M_EFF = 10.0
 GAMMA = 100.0

@@ -1,9 +1,10 @@
 """Rotation sectors: the folded operator, solve and fold rule over every
-divisor of N_p, the blocked slot-mode sweep against the serial one and the
-LAPACK oracle on every sector, the one-solve kinetic step against the
-two-solve one it replaced, the certificate that spares its second sparse
-product, and evolve on a sector against the unfused full-mesh strang_step
-for the set-ups of criteria 04, 06 and 07."""
+divisor of N_p, and over every even one for antiperiodic sectors (sign -1),
+the blocked slot-mode sweep against the serial one and the LAPACK oracle on
+every sector, the one-solve kinetic step against the two-solve one it
+replaced, the certificate that spares its second sparse product, and evolve
+on a sector against the unfused full-mesh strang_step for the set-ups of
+criteria 04, 06 and 07 and for the unstable state."""
 
 import functools
 import math
@@ -22,7 +23,7 @@ from ringgpe.dynamics import (
 )
 import ringgpe.ground_state as gs_mod
 from ringgpe.errors import NumericalError
-from ringgpe.fv import Field, assemble_laplacian
+from ringgpe.fv import Field, assemble_laplacian, normalize
 from ringgpe.ground_state import (
     SOLVER_RESIDUAL_TOL,
     GradientFlowConfig,
@@ -52,15 +53,21 @@ GAMMA = 100.0
 STATIC = PotentialParams(m=M_EFF, V0=V0)
 STIR = PotentialParams(m=M_EFF, V0=V0, V_p=0.05, n_theta=6, omega=10.0 * math.pi / 3.0)
 
-# The small test meshes of test_layout: N_p = 128, 63 and 3.
+# The small test meshes of test_layout, N_p = 128, 63 and 3, and one of
+# N_p = 6 whose sectors of one and three slots have antiperiodic forms.
 MESHES = {
     "even": MeshParams(r_min=0.6, r_max=1.4, h=0.1, n_points=128),
     "odd": MeshParams(r_min=0.6, r_max=1.4, h=0.2),
     "three": MeshParams(r_min=0.6, r_max=1.4, h=0.2, n_circles=3, n_points=3),
+    "six": MeshParams(r_min=0.6, r_max=1.4, h=0.2, n_circles=3, n_points=6),
 }
-N_POINTS = {"even": 128, "odd": 63, "three": 3}
+N_POINTS = {"even": 128, "odd": 63, "three": 3, "six": 6}
 FOLDS = [(name, k) for name, n_p in N_POINTS.items()
          for k in range(1, n_p + 1) if n_p % k == 0]
+# Every fold with sign +1, and every even fold with sign -1: the field
+# changes sign from one sector to the next (an antiperiodic sector).
+SIGNED_FOLDS = [pytest.param(name, k, 1, id=f"{name}-{k}") for name, k in FOLDS] + [
+    pytest.param(name, k, -1, id=f"{name}-{k}-antiperiodic") for name, k in FOLDS if k % 2 == 0]
 PROPERTY = settings(derandomize=True, max_examples=5, deadline=None)
 
 
@@ -83,28 +90,28 @@ def rel(a, b):
 
 class TestSectorProperties:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    @pytest.mark.parametrize("name,fold", FOLDS)
+    @pytest.mark.parametrize("name,fold,sign", SIGNED_FOLDS)
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-2.0, 2.0),
            scale=st.complex_numbers(max_magnitude=1.0))
-    def test_operator_matches_full_rows(self, name, fold, bc, seed, shift, scale):
+    def test_operator_matches_full_rows(self, name, fold, sign, bc, seed, shift, scale):
         op = operator(name, bc)
         mesh = op.mesh
         x = random_sector(mesh, fold, seed)
-        got = sector_matrix(op, shift, scale, fold) @ x
-        want = (sector_matrix(op, shift, scale) @ tile(mesh, x, fold))[sector(mesh, fold)]
+        got = sector_matrix(op, shift, scale, fold, sign) @ x
+        want = (sector_matrix(op, shift, scale) @ tile(mesh, x, fold, sign))[sector(mesh, fold)]
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    @pytest.mark.parametrize("name,fold", FOLDS)
-    def test_laplacian_self_adjoint_for_sector_areas(self, name, fold, bc):
+    @pytest.mark.parametrize("name,fold,sign", SIGNED_FOLDS)
+    def test_laplacian_self_adjoint_for_sector_areas(self, name, fold, sign, bc):
         # Wrapping alone leaves the rotation's round-off in the sector
         # matrix (a weighted asymmetry of 1e-14 on these meshes, 1e-12 on
         # paper62); symmetrized, it is as self-adjoint as A_T, a few ulp,
         # and at fold 1 it is A_T.
         op = operator(name, bc)
         mesh = op.mesh
-        a_t = sector_matrix(op, 0.0, 1.0, fold)
+        a_t = sector_matrix(op, 0.0, 1.0, fold, sign)
         weighted = a_t.multiply(mesh.areas[sector(mesh, fold)][:, None]).tocsr()
         defect = abs(weighted - weighted.T).max() / abs(weighted).max()
         assert defect <= 4 * np.finfo(float).eps
@@ -113,28 +120,28 @@ class TestSectorProperties:
                 assert np.array_equal(getattr(a_t, part), getattr(op.A_T, part))
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    @pytest.mark.parametrize("name,fold", FOLDS)
+    @pytest.mark.parametrize("name,fold,sign", SIGNED_FOLDS)
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 1e-1))
-    def test_solve_matches_splu_of_full_system(self, name, fold, bc, seed, tau):
+    def test_solve_matches_splu_of_full_system(self, name, fold, sign, bc, seed, tau):
         # The Cayley system, refined against the sector rows, against a
         # sparse LU of the whole system on the tiled right-hand side.
         op = operator(name, bc)
         mesh = op.mesh
         z = 1j * tau / (4.0 * M_EFF)
         b = random_sector(mesh, fold, seed)
-        solver = SlotFFTSolver(op, 1.0, -z, fold)
+        solver = SlotFFTSolver(op, 1.0, -z, fold, sign)
         got = checked_solve(solver.solve, solver.matrix, b, "sector solve")
-        want = splu(sector_matrix(op, 1.0, -z).tocsc()).solve(tile(mesh, b, fold))
-        assert rel(tile(mesh, got, fold), want) <= 1e-12
+        want = splu(sector_matrix(op, 1.0, -z).tocsc()).solve(tile(mesh, b, fold, sign))
+        assert rel(tile(mesh, got, fold, sign), want) <= 1e-12
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    @pytest.mark.parametrize("name,fold", FOLDS)
+    @pytest.mark.parametrize("name,fold,sign", SIGNED_FOLDS)
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(case=st.sampled_from(sorted(SOLVER_CASES)), rhs=st.sampled_from(["real", "complex"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocked_sweep_matches_serial_and_stacked_gttrs(self, name, fold, bc, case, rhs,
-                                                             seed):
+    def test_blocked_sweep_matches_serial_and_stacked_gttrs(self, name, fold, sign, bc, case,
+                                                             rhs, seed):
         # Every block count from 1 (the serial sweep) to one block per row;
         # most of them pad the last block. Unrefined, the sector solve of b
         # is the sector of the full solve of b tiled, which the oracle gives.
@@ -144,38 +151,45 @@ class TestSectorProperties:
         n = sector(mesh, fold).size
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if rhs == "complex" else 0.0)
-        want = StackedGttrsSolver(op, shift, scale).solve(tile(mesh, b, fold))[sector(mesh, fold)]
-        serial = solver_with_blocks(1, op, shift, scale, fold).solve(b)
+        full = StackedGttrsSolver(op, shift, scale).solve(tile(mesh, b, fold, sign))
+        want = full[sector(mesh, fold)]
+        serial = solver_with_blocks(1, op, shift, scale, fold, sign).solve(b)
         assert serial.dtype == np.complex128 and rel(serial, want) <= 1e-13
         for blocks in range(2, 2 * mesh.n_bands + 1):
-            got = solver_with_blocks(blocks, op, shift, scale, fold).solve(b)
+            got = solver_with_blocks(blocks, op, shift, scale, fold, sign).solve(b)
             assert got.dtype == np.complex128
             assert rel(got, serial) <= 1e-13
             assert rel(got, want) <= 1e-13
 
-    @pytest.mark.parametrize("name,fold", FOLDS)
+    @pytest.mark.parametrize("name,fold,sign", SIGNED_FOLDS)
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_fold_rule(self, name, fold, seed, data):
+    def test_fold_rule(self, name, fold, sign, seed, data):
         # A field tiled from a random sector of N_p/fold slots repeats
-        # exactly that often; one entry nudged by one ulp breaks every
-        # rotation.
+        # exactly that often, up to its sign; one entry nudged by one ulp
+        # breaks every rotation.
         mesh = operator(name, "dirichlet").mesh
-        values = tile(mesh, random_sector(mesh, fold, seed), fold)
-        assert invariant_fold(mesh, values, mesh.n_points) == fold
+        values = tile(mesh, random_sector(mesh, fold, seed), fold, sign)
+        assert invariant_fold(mesh, values, mesh.n_points) == (fold, sign)
         i = data.draw(st.integers(0, mesh.n_triangles - 1))
         values[i] = np.nextafter(values[i].real, np.inf) + 1j * values[i].imag
-        assert invariant_fold(mesh, values, mesh.n_points) == 1
+        assert invariant_fold(mesh, values, mesh.n_points) == (1, 1)
 
     def test_fold_rule_keeps_to_divisors_of_k0(self):
         # A field repeating every 2 of N_p = 128 slots (fold 64) gets the
-        # largest divisor of k0 that it keeps; k0 must divide N_p.
+        # largest divisor of k0 that it keeps; k0 must divide N_p. One that
+        # changes sign every 2 slots also repeats every 4 (fold 32), and
+        # the larger fold wins.
         mesh = operator("even", "dirichlet").mesh
         values = tile(mesh, random_sector(mesh, 64, 1), 64)
-        assert invariant_fold(mesh, values, 32) == 32
-        assert invariant_fold(mesh, values, 2) == 2
+        assert invariant_fold(mesh, values, 32) == (32, 1)
+        assert invariant_fold(mesh, values, 2) == (2, 1)
         with pytest.raises(ValueError, match="does not divide"):
             invariant_fold(mesh, values, 6)
+        values = tile(mesh, random_sector(mesh, 64, 2), 64, -1)
+        assert invariant_fold(mesh, values, 128) == (64, -1)
+        assert invariant_fold(mesh, values, 32) == (32, 1)
+        assert invariant_fold(mesh, values, 1) == (1, 1)
 
     def test_slot_view_of_tile_repeats_sector(self):
         mesh = operator("odd", "dirichlet").mesh
@@ -183,6 +197,65 @@ class TestSectorProperties:
         v = slot_view(mesh, tile(mesh, x, 7))
         assert np.array_equal(v[:, :9], x.reshape(mesh.n_bands, 9, 2))
         assert np.array_equal(v, np.roll(v, 9, axis=1))
+        # With sign -1 every odd copy is negated.
+        mesh = operator("even", "dirichlet").mesh
+        x = random_sector(mesh, 4, 3)
+        v = slot_view(mesh, tile(mesh, x, 4, -1))
+        assert np.array_equal(v[:, :32], x.reshape(mesh.n_bands, 32, 2))
+        assert np.array_equal(v, -np.roll(v, 32, axis=1))
+
+    @pytest.mark.parametrize("fold,sign", [(3, -1), (1, -1), (2, 0), (2, 2)])
+    def test_sign_needs_an_even_fold(self, fold, sign):
+        op = operator("six", "dirichlet")
+        x = random_sector(op.mesh, fold, 1)
+        for call in (lambda: tile(op.mesh, x, fold, sign),
+                     lambda: sector_matrix(op, 1.0, -0.1, fold, sign),
+                     lambda: SlotFFTSolver(op, 1.0, -0.1, fold, sign)):
+            with pytest.raises(ValueError, match=f"sign {sign} at fold {fold}"):
+                call()
+
+    @pytest.mark.parametrize("fold", [2, 4, 8, 16, 32, 64, 128])
+    def test_antiperiodic_pivot_refusal_names_the_slot_mode(self, fold):
+        # As in test_layout's test_zero_pivot_refused, a shift cancelling
+        # row 0's diagonal zeroes the first pivot of every mode; the first
+        # mode of an antiperiodic sector of fold k is k/2.
+        op = operator("even", "dirichlet")
+        scale = -0.01
+        shift = -scale * op.slot_symbol[1, 0, 0].real
+        with pytest.raises(NumericalError, match=rf"slot mode {fold // 2}: .* row 0 "):
+            SlotFFTSolver(op, shift, scale, fold, -1)
+
+
+class TestUnstableStateSymmetry:
+    @pytest.mark.parametrize("name", ["even", "six"])
+    def test_exactly_antisymmetric_for_even_n_points(self, name):
+        # From a slot-invariant field, the state changes sign exactly under
+        # the half-turn, and departs from the profile sampled at every
+        # circumcenter only by the rounding of those centers.
+        mesh = operator(name, "dirichlet").mesh
+        u = Field(mesh, tile(mesh, np.random.default_rng(1).random(2 * mesh.n_bands),
+                             mesh.n_points))
+        got = make_unstable_state(u).values
+        v = slot_view(mesh, got)
+        assert np.array_equal(v, -np.roll(v, mesh.n_points // 2, axis=1))
+        assert invariant_fold(mesh, got, mesh.n_points) == (2, -1)
+        assert rel(got, every_center_unstable_state(u)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["odd", "three"])
+    def test_odd_n_points_keeps_the_every_center_formula(self, name):
+        mesh = operator(name, "dirichlet").mesh
+        u = Field(mesh, np.random.default_rng(2).random(mesh.n_triangles))
+        assert np.array_equal(make_unstable_state(u).values, every_center_unstable_state(u))
+
+
+def every_center_unstable_state(u_gs):
+    """make_unstable_state with the profile sampled at every circumcenter,
+    as it is for odd N_p."""
+    x = u_gs.mesh.centers[:, 0]
+    sign = np.where(x > 0.0, 1.0, -1.0)
+    with np.errstate(divide="ignore"):
+        damp = np.exp(-0.1 / np.abs(x))
+    return normalize(Field(u_gs.mesh, u_gs.values * sign * damp)).values
 
 
 class TestFoldedFlows:
@@ -201,14 +274,16 @@ class TestFoldedFlows:
 
 def desk_state(mesh, trap, bc, state):
     """(op, u, fold): the desk ground state for bc, on the fold its stirrer
-    keeps (> 1), or the unstable state made from it (fold 1)."""
+    keeps (> 1), or the unstable state made from it on the whole mesh
+    (fold 1). evolve steps that state at fold 2, sign -1; these tests
+    drive it at fold 1, where every slot mode is solved."""
     op = assemble_laplacian(mesh, bc)
     gs = compute_ground_state(trap, op, M_EFF, GAMMA, GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
     assert gs.converged
     if state == "unstable":
         return op, make_unstable_state(gs.field).values, 1
-    fold = invariant_fold(mesh, gs.field.values, math.gcd(STIR.n_theta, mesh.n_points))
-    assert fold > 1
+    fold, sign = invariant_fold(mesh, gs.field.values, math.gcd(STIR.n_theta, mesh.n_points))
+    assert fold > 1 and sign == 1
     return op, gs.field.values, fold
 
 
@@ -431,6 +506,23 @@ class TestFoldedAgainstFull:
             assert rel(a.values, b) <= 1e-10
         assert rel(got.final.values, want[-1]) <= 1e-10
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_unstable_state_matches_unfused_full_mesh(self, desk_mesh, desk_trap, bc):
+        # The unstable state changes sign under the half-turn, so evolve
+        # steps S = 109 of the desk mesh's 218 slots at sign -1.
+        op, u, _ = desk_state(desk_mesh, desk_trap, bc, "unstable")
+        u0 = Field(desk_mesh, u)
+        tau, n_steps, stride = 6e-4, 200, 50
+        got = evolve(u0, op, STATIC, M_EFF, GAMMA,
+                     SplitStepConfig(tau=tau, t_max=n_steps * tau, snapshot_stride=stride))
+        assert (got.fold, got.sign) == (2, -1)
+        want = self.unfused(u0, op, STATIC, tau, n_steps, stride)
+        assert len(got.snapshots) == len(want)
+        for a, b in zip(got.snapshots, want):
+            assert rel(a.values, b) <= 1e-10
+        v = slot_view(desk_mesh, got.final.values)
+        assert np.array_equal(v, -np.roll(v, 109, axis=1))
+
     def test_symmetry_broken_in_u0_takes_full_mesh(self, desk_op, desk_ground_state):
         # Seeding asymmetry in u0 is how a run asks for the full mesh.
         u0 = desk_ground_state.field.values.copy()
@@ -438,4 +530,4 @@ class TestFoldedAgainstFull:
         tau = 6e-4
         r = evolve(Field(desk_op.mesh, u0), desk_op, STIR, M_EFF, GAMMA,
                    SplitStepConfig(tau=tau, t_max=10 * tau), keep_snapshots=False)
-        assert r.fold == 1
+        assert (r.fold, r.sign) == (1, 1)
