@@ -226,19 +226,24 @@ class SlotInvariantProblem:
 
 
 def gradient_flow_step(u: np.ndarray, problem: SlotInvariantProblem,
-                       kappa: float) -> np.ndarray:
+                       kappa: float) -> np.ndarray | None:
     """One semi-implicit descent step followed by renormalization.
 
     Solves (I - kappa [(1/m) A_T - 2V - 2 gamma |U^n|^2]) W = U^n on the
     mode-0 rows u = U^n of problem and returns W / ||W||. The linearization
     freezes the density at the current iterate. The system is tridiagonal;
     solve_banded factors it with partial pivoting, so an indefinite one
-    (a negative trap) needs no other path.
+    (a negative trap) needs no other path. Returns None when ||W|| is 0 or
+    not finite, as when a huge kappa makes W underflow: such a W has no
+    direction to renormalize.
     """
     mat = _Tridiagonal((-kappa / problem.m) * problem.laplacian.ab)
     mat.ab[1] += 1.0 + kappa * (2.0 * problem.trap + 2.0 * problem.gamma * u * u)
     w = checked_solve(mat.solve, mat, u, "linear solve")
-    return w / problem.norm(w)
+    scale = problem.norm(w)
+    if not 0.0 < scale < np.inf:
+        return None
+    return w / scale
 
 
 def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: float,
@@ -265,7 +270,7 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
 
     while not converged and iterations < config.max_iters:
         candidate = gradient_flow_step(u, problem, kappa)
-        e_new = problem.energy(candidate)
+        e_new = np.inf if candidate is None else problem.energy(candidate)
         if e_new < e:
             u = candidate
             e = e_new

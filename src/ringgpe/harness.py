@@ -129,10 +129,11 @@ def run_time_convergence(config: RunConfig, out_dir) -> TimeConvergenceResult:
 
     t_max = config.time_t_max
     finals: dict[int, Field] = {}
-    for e in range(config.time_k_min - 1, config.time_k_max + 2):
-        split = SplitStepConfig(tau=t_max / 2 ** e, t_max=t_max)
-        finals[e] = evolve(gs.field, op, static, static.m, config.gamma,
-                           split, keep_snapshots=False).final
+    with _stage("evolve"):
+        for e in range(config.time_k_min - 1, config.time_k_max + 2):
+            split = SplitStepConfig(tau=t_max / 2 ** e, t_max=t_max)
+            finals[e] = evolve(gs.field, op, static, static.m, config.gamma,
+                               split, keep_snapshots=False).final
 
     rows: list[tuple[int, float, float]] = []
     orders: dict[int, float] = {}
@@ -210,7 +211,6 @@ class PipelineResult:
     ground_state: GroundStateResult | None = None
     evolution: EvolveResult | None = None
     vortices: dict[str, list[VortexRecord]] = field(default_factory=dict)
-    detector_seconds: dict[str, float] = field(default_factory=dict)
     coeffs_initial: np.ndarray | None = None
     coeffs_final: np.ndarray | None = None
     files: list[Path] = field(default_factory=list)
@@ -228,8 +228,15 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(stages=selected)
     files = result.files
-    vtk = config.write_vtk
+    unhashed: list[Path] = []
 
+    def write_vtk(name: str, data: dict[str, np.ndarray] | Field, title: str):
+        """data (cell arrays, or a Field) as name in out_dir, if the config asks for VTK."""
+        if config.write_vtk:
+            cells = data if isinstance(data, dict) else out_io.field_cell_data(data)
+            files.append(out_io.write_legacy_vtk(out_dir / name, mesh, cells, title=title))
+
+    # Every stage depends on the mesh.
     with _stage("mesh"):
         mesh = build_ring_mesh(config.mesh)
         report = verify_admissibility(mesh)
@@ -242,59 +249,41 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
         files.extend(out_io.write_mesh_tables(out_dir, mesh))
         files.append(out_io.write_admissibility_table(
             out_dir / "admissibility.csv", report))
-        if vtk:
-            files.append(out_io.write_legacy_vtk(
-                out_dir / "mesh.vtk", mesh,
-                {"band": mesh.band, "kind": mesh.kind, "area": mesh.areas},
-                title="ring triangulation"))
+        write_vtk("mesh.vtk", {"band": mesh.band, "kind": mesh.kind, "area": mesh.areas},
+                  "ring triangulation")
 
-    if "ground-state" not in selected:
-        result.manifest = out_io.write_manifest(out_dir, files, serialize_config(config))
-        return result
+    if "ground-state" in selected:
+        op = assemble_laplacian(mesh, config.bc)
+        with _stage("ground-state"):
+            static, gs = _ground_state(config, op)
+            result.ground_state = gs
+            files.append(out_io.write_field_table(out_dir / "ground_state.csv", gs.field))
+            files.append(out_io.write_flow_history_table(
+                out_dir / "flow_history.csv", gs.energies, gs.residuals))
+            write_vtk("ground_state.vtk", gs.field, "ground state")
 
-    op = assemble_laplacian(mesh, config.bc)
-    with _stage("ground-state"):
-        static, gs = _ground_state(config, op)
-        result.ground_state = gs
-        files.append(out_io.write_field_table(out_dir / "ground_state.csv", gs.field))
-        files.append(out_io.write_flow_history_table(
-            out_dir / "flow_history.csv", gs.energies, gs.residuals))
-        if vtk:
-            files.append(out_io.write_legacy_vtk(
-                out_dir / "ground_state.vtk", mesh,
-                out_io.field_cell_data(gs.field), title="ground state"))
+    if "evolve" in selected:
+        if config.initial == INITIAL_UNSTABLE:
+            u0 = make_unstable_state(gs.field)
+            reference = None
+            files.append(out_io.write_field_table(out_dir / "initial_state.csv", u0))
+        else:
+            u0 = gs.field
+            reference = gs.field
+        with _stage("evolve"):
+            evolution = evolve(
+                u0, op, config.potential, config.potential.m, config.gamma, config.split,
+                reference=reference, keep_snapshots=False,
+                on_emit=lambda step, t, psi: write_vtk(
+                    f"snapshot_{step:07d}.vtk", psi, f"state at t = {t:.6f}"))
+            result.evolution = evolution
+            files.append(out_io.write_observables_table(
+                out_dir / "observables.csv", evolution.times, evolution.mass,
+                evolution.energy, evolution.err_reference))
+            files.append(out_io.write_field_table(
+                out_dir / "final_state.csv", evolution.final))
+        final = evolution.final
 
-    if "evolve" not in selected:
-        result.manifest = out_io.write_manifest(out_dir, files, serialize_config(config))
-        return result
-
-    if config.initial == INITIAL_UNSTABLE:
-        u0 = make_unstable_state(gs.field)
-        reference = None
-        files.append(out_io.write_field_table(out_dir / "initial_state.csv", u0))
-    else:
-        u0 = gs.field
-        reference = gs.field
-
-    def emit_snapshot(step: int, t: float, psi: Field):
-        if vtk:
-            files.append(out_io.write_legacy_vtk(
-                out_dir / f"snapshot_{step:07d}.vtk", mesh,
-                out_io.field_cell_data(psi), title=f"state at t = {t:.6f}"))
-
-    with _stage("evolve"):
-        evolution = evolve(u0, op, config.potential, config.potential.m,
-                           config.gamma, config.split, reference=reference,
-                           on_emit=emit_snapshot, keep_snapshots=False)
-        result.evolution = evolution
-        files.append(out_io.write_observables_table(
-            out_dir / "observables.csv", evolution.times, evolution.mass,
-            evolution.energy, evolution.err_reference))
-        files.append(out_io.write_field_table(
-            out_dir / "final_state.csv", evolution.final))
-
-    final = evolution.final
-    unhashed: list[Path] = []
     if "vortices" in selected:
         with _stage("vortices"):
             detectors = {
@@ -307,18 +296,18 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
                     config.detect.vort_threshold, METHOD_PSEUDO_VORTICITY),
             }
             rows: list[tuple[float, VortexRecord]] = []
+            seconds: list[float] = []
             t_final = float(evolution.times[-1])
             for name, run in detectors.items():
                 start = time.perf_counter()
                 records = run()
-                result.detector_seconds[name] = time.perf_counter() - start
+                seconds.append(time.perf_counter() - start)
                 result.vortices[name] = records
                 rows.extend((t_final, r) for r in records)
             files.append(out_io.write_vortex_table(out_dir / "vortices.csv", rows))
             timings = out_io.write_csv(
                 out_dir / "detector_timings.csv", ["method", "seconds", "count"],
-                [list(detectors), [result.detector_seconds[n] for n in detectors],
-                 [len(result.vortices[n]) for n in detectors]])
+                [list(detectors), seconds, [len(result.vortices[n]) for n in detectors]])
             files.append(timings)
             unhashed.append(timings)
 

@@ -90,15 +90,14 @@ class VortexRecord:
             raise ValueError("a reliable record must carry a nonzero charge")
 
 
-def _unwound_shell_phase(u: Field, center: int, lam: int) -> tuple[int, float]:
-    """Winding number and rounding defect of arg(u) around shell lam.
+def _unwound_shell_phase(u: Field, center: int, shell: np.ndarray) -> tuple[int, float]:
+    """Winding number and rounding defect of arg(u) around the triangles of shell.
 
     Shell triangles are ordered by increasing polar angle about the center
     circumcenter and the loop is closed by revisiting the first one; each
     phase is lifted to within pi of its predecessor.
     """
     mesh = u.mesh
-    shell = triangle_shells(mesh, center, lam)[lam]
     if shell.size == 0:
         raise ValueError("empty shell, winding undefined")
     vals = u.values[shell]
@@ -111,7 +110,8 @@ def _unwound_shell_phase(u: Field, center: int, lam: int) -> tuple[int, float]:
     jump = np.abs(np.diff(theta)).max()
     if not jump <= np.pi + 1e-9:
         raise NumericalError(
-            f"unwrapped phase jumps by {jump!r} > pi around center {center} on shell {lam}")
+            f"unwrapped phase jumps by {jump!r} > pi around center {center} "
+            f"on its shell of {shell.size} triangles")
     quotient = (theta[-1] - theta[0]) / (2.0 * np.pi)
     index = int(np.rint(quotient))
     return index, abs(quotient - index)
@@ -128,7 +128,8 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     Rotation by 2*pi/N_p is an automorphism of the adjacency graph, so the
     shells around (band, slot, kind) are those around (band, 0, kind) shifted
     by slot along the periodic slot axis. One shell search per (band, kind)
-    therefore confirms every candidate of that (band, kind) at once.
+    therefore confirms every candidate of that (band, kind) at once, and
+    gives each record the shell its winding is unwound on.
 
     A candidate fails shell lam as soon as one member fails, so each open
     candidate is first tested against the members of shell lam in its own
@@ -141,9 +142,9 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     candidates = np.flatnonzero(dens < params.tol1)
 
     # Confirming shell per candidate (0: unconfirmed), and per (band, kind)
-    # the ball around slot 0, the union of shells 1 .. lambda_max.
+    # the shells 0 .. lambda_max around slot 0.
     lam_of = np.zeros(candidates.size, dtype=np.int64)
-    balls = {}
+    templates = {}
     group = 2 * mesh.band[candidates] + mesh.kind[candidates]
     for key in np.unique(group):
         in_group = np.flatnonzero(group == key)
@@ -160,26 +161,26 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
                 ring = dens[slot_shifted(mesh, members, mesh.slot[centers])]
                 open_ = open_[np.all(ring > dens[centers, None] + params.tol2, axis=1)]
             lam_of[open_] = lam
-        balls[key] = np.concatenate(shells[1:])
+        templates[key] = shells
 
     # Thin conflicting centers: scan by ascending (density, triangle) and drop
     # any center lying in an already kept center's shell union (graph distance
     # is symmetric, so one-sided membership covers both directions).
     confirmed = np.flatnonzero(lam_of)
     centers = candidates[confirmed]
-    kept: list[tuple[int, int]] = []
+    records = []
     blocked = np.zeros(mesh.n_triangles, dtype=bool)
     for i in confirmed[np.lexsort((centers, dens[centers]))]:
         n = int(candidates[i])
         if blocked[n]:
             continue
-        kept.append((n, int(lam_of[i])))
-        blocked[slot_shifted(mesh, balls[group[i]], mesh.slot[[n]])] = True
-
-    records = []
-    for n, lam in kept:
+        shells, lam, slot = templates[group[i]], int(lam_of[i]), mesh.slot[[n]]
+        blocked[slot_shifted(mesh, np.concatenate(shells[1:]), slot)] = True
+        # Ascending, as triangle_shells gives it: the angle sort of the
+        # winding breaks exact ties by position in the shell.
+        shell = np.sort(slot_shifted(mesh, shells[lam], slot)[0])
         try:
-            index, defect = _unwound_shell_phase(u, n, lam)
+            index, defect = _unwound_shell_phase(u, n, shell)
             reliable = defect <= WINDING_DEFECT_TOL and index != 0
         except ValueError:
             index, reliable = 0, False

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,23 @@ class TestFlow:
         assert res.converged
         assert res.n_rejections >= 1
         assert res.final_kappa < 50.0
+
+    def test_underflowing_step_is_rejected_without_warnings(self, tiny):
+        mesh, op, trap = tiny
+        # At kappa = 1e300, W ~ U / kappa: its squares underflow to 0, so it
+        # has no norm to renormalize by. The flow must back off from there
+        # without dividing by that norm.
+        problem = gs_mod.SlotInvariantProblem(trap, op, M_EFF, 100.0)
+        u = np.ones_like(problem.weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert gradient_flow_step(u / problem.norm(u), problem, 1e300) is None
+            res = compute_ground_state(trap, op, M_EFF, 100.0,
+                                       GradientFlowConfig(kappa0=1e300))
+        assert res.converged
+        assert res.iterations == 28
+        assert res.energy == pytest.approx(-56.624065, abs=1e-6)
+        assert res.n_rejections > 900  # halvings from 1e300 down to ~1e-2
 
     def test_kappa_underflow_aborts(self, tiny, monkeypatch):
         mesh, op, trap = tiny

@@ -190,6 +190,29 @@ class TestPipeline:
         with pytest.raises(NumericalError, match="stage 'ground-state'"):
             run_pipeline(cfg, tmp_path, stages=("ground-state",))
 
+    @pytest.mark.parametrize("vtk", [True, False])
+    @pytest.mark.parametrize("stages", [None] + [(name,) for name in PIPELINE_STAGES])
+    def test_one_manifest_per_run(self, tmp_path, monkeypatch, stages, vtk):
+        calls = []
+        original = harness.out_io.write_manifest
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness.out_io, "write_manifest", counting)
+        cfg = parse_config(TINY + f"\n[output]\nvtk = {str(vtk).lower()}\n")
+        result = run_pipeline(cfg, tmp_path, stages=stages)
+        assert calls == [tmp_path]
+        assert result.manifest == tmp_path / "manifest.json"
+        vtk_files = {p.name for p in tmp_path.glob("*.vtk")}
+        want = {"mesh.vtk"}
+        if "ground-state" in result.stages:
+            want.add("ground_state.vtk")
+        if "evolve" in result.stages:
+            want |= {"snapshot_0000000.vtk", "snapshot_0000005.vtk", "snapshot_0000010.vtk"}
+        assert vtk_files == (want if vtk else set())
+
     def test_repeat_runs_byte_identical(self, tiny_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_pipeline(tiny_cfg, a)
@@ -253,6 +276,14 @@ class TestTimeConvergence:
         # one trajectory per dyadic step count k_min-1 .. k_max+1
         assert len(calls) == tiny_cfg.time_k_max - tiny_cfg.time_k_min + 3
         assert (tmp_path / "time_convergence.csv").exists()
+
+    def test_evolve_failure_carries_stage_name(self, tiny_cfg, tmp_path, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NumericalError("boom")
+
+        monkeypatch.setattr(harness, "evolve", explode)
+        with pytest.raises(NumericalError, match="^stage 'evolve' failed: boom$"):
+            run_time_convergence(tiny_cfg, tmp_path)
 
     def test_unconverged_ground_state_is_refused(self, tmp_path):
         # The study starts from the same checked ground state as the pipeline.

@@ -24,12 +24,18 @@ from ringgpe.vortex import (
 CORE_WIDTH = 0.05
 
 
+def searched_shell(mesh, center, lam):
+    """Shell lam around center from its own shell search (test oracle)."""
+    return triangle_shells(mesh, center, lam)[lam]
+
+
 def vortex_index(u, record):
     """Phase winding of u around the record's confirming shell (test oracle).
 
     Raises ValueError when the field vanishes somewhere on the shell.
     """
-    index, _ = vortex._unwound_shell_phase(u, record.triangle, record.characteristic_length)
+    shell = searched_shell(u.mesh, record.triangle, record.characteristic_length)
+    index, _ = vortex._unwound_shell_phase(u, record.triangle, shell)
     return index
 
 
@@ -67,13 +73,14 @@ def center_triangle(mesh, point):
 
 
 def kept_records(u, kept):
-    """Density records of the kept (center, shell) pairs, as the detector builds them."""
+    """Density records of the kept (center, shell) pairs, each winding taken on
+    a shell searched around its own center (test oracle)."""
     mesh = u.mesh
     dens = u.abs2()
     records = []
     for n, lam in kept:
         try:
-            index, defect = vortex._unwound_shell_phase(u, n, lam)
+            index, defect = vortex._unwound_shell_phase(u, n, searched_shell(mesh, n, lam))
             reliable = defect <= WINDING_DEFECT_TOL and index != 0
         except ValueError:
             index, reliable = 0, False
@@ -361,10 +368,12 @@ class TestTemplateDetector:
         recs = detect_by_density(u, DetectionParams())
         cand = np.flatnonzero(u.abs2() < DetectionParams().tol1)
         groups = np.unique(2 * mesh.band[cand] + mesh.kind[cand])
-        # One template per (band, kind) with a candidate, one shell for the
-        # winding of each record.
-        assert len(calls) == groups.size + len(recs)
+        # One template around slot 0 per (band, kind) with a candidate; the
+        # windings of the records reuse those templates.
+        band, kind = np.divmod(groups, 2)
+        assert sorted(calls) == list(2 * band * mesh.n_points + kind)
         assert groups.size < cand.size
+        assert len(recs) == 4
 
 
 class TestSameBandPreTest:
@@ -439,7 +448,7 @@ class TestWinding:
         # An unwrap that leaves a jump above pi breaks the lifting invariant;
         # the detector must not mistake it for an unreliable record.
         monkeypatch.setattr(vortex.np, "unwrap", lambda p: p + 4.0 * np.arange(p.size))
-        match = f"center {rec.triangle} on shell {rec.characteristic_length}"
+        match = f"center {rec.triangle} on its shell"
         with pytest.raises(NumericalError, match=match):
             vortex_index(u, rec)
         with pytest.raises(NumericalError, match=match):
