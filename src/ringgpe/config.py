@@ -309,6 +309,13 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
                                      f"{angle:.6f} >= pi/2")
         except ValueError as exc:
             raise fail(section, exc) from None
+    # Each space_h entry sizes a mesh that conv-space builds on the same ring.
+    ring = fields["mesh"]
+    for h in fields["space_h"]:
+        try:
+            max_triangle_angle(MeshParams(r_min=ring.r_min, r_max=ring.r_max, h=h))
+        except ValueError as exc:
+            raise fail("harness", f"space_h entry {h!r}: {exc}") from None
     if fields["time_k_min"] > fields["time_k_max"]:
         raise fail("harness", "time_k_min exceeds time_k_max")
     return RunConfig(**fields)

@@ -113,7 +113,6 @@ class KineticFlow:
                  sign: int = 1):
         if not (tau > 0.0 and m > 0.0):
             raise ValueError("tau and m must be positive")
-        self.tau = tau
         z = 1j * tau / (4.0 * m)
         self._solver = SlotFFTSolver(op, 1.0, -z, fold, sign)
 

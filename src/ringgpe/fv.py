@@ -16,12 +16,10 @@ the interior edges and the wall edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import slot_symbol
 from .mesh import RingMesh
 
 _BCS = ("dirichlet", "neumann")
@@ -49,11 +47,6 @@ class Field:
     @classmethod
     def constant(cls, mesh: RingMesh, value: complex = 1.0) -> "Field":
         return cls(mesh, np.full(mesh.n_triangles, value))
-
-    @classmethod
-    def from_function(cls, mesh: RingMesh, fn) -> "Field":
-        """Evaluate fn(x, y) at the circumcenters."""
-        return cls(mesh, fn(mesh.centers[:, 0], mesh.centers[:, 1]))
 
     def copy(self) -> "Field":
         return Field(self.mesh, self.values.copy())
@@ -99,11 +92,6 @@ class LaplacianOperator:
     A: sp.csr_matrix
     A_T: sp.csr_matrix
 
-    def apply(self, u: Field) -> Field:
-        if u.mesh is not self.mesh:
-            raise ValueError("field mesh does not match operator mesh")
-        return Field(self.mesh, self.A_T @ u.values)
-
     def quadratic_form(self, u: Field) -> float:
         """<u, A_T u>_T; always <= 0.
 
@@ -113,11 +101,6 @@ class LaplacianOperator:
         if u.mesh is not self.mesh:
             raise ValueError("field mesh does not match operator mesh")
         return float(np.sum((np.conj(u.values) * (self.A @ u.values)).real))
-
-    @cached_property
-    def slot_symbol(self) -> np.ndarray:
-        """Per-slot-mode tridiagonal symbol of A_T; see layout.slot_symbol."""
-        return slot_symbol(self.mesh, self.A_T)
 
 
 def _flux_edges(mesh: RingMesh, bc: str):

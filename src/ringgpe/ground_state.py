@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator
-from .layout import ResidualBounds, mode0_rows, tile_mode0
+from .layout import ResidualBounds, mode0_rows, slot_symbol, tile_mode0
 
 # Relative residual contract for every inner linear solve.
 SOLVER_RESIDUAL_TOL = 1e-10
@@ -185,9 +185,9 @@ class SlotInvariantProblem:
     """The energy of slot-invariant real fields, on their mode-0 rows.
 
     A row j stands for the N_p triangles of one (band, kind), which together
-    weigh N_p times the slot-0 area. A_T acts on the rows as the mode-0
-    tridiagonal op.slot_symbol[:, 0, :], held in solve_banded's (1, 1)
-    layout; the trap is sampled at slot 0.
+    weigh N_p times the slot-0 area. A_T acts on the rows as the tridiagonal
+    slot_symbol(mesh, op.A_T, [0]) of mode 0 alone, held in solve_banded's
+    (1, 1) layout; the trap is sampled at slot 0.
     """
 
     def __init__(self, trap: Field, op: LaplacianOperator, m: float, gamma: float):
@@ -199,7 +199,7 @@ class SlotInvariantProblem:
         self.gamma = gamma
         self.weight = mesh.n_points * mode0_rows(mesh, mesh.areas)
         self.trap = mode0_rows(mesh, trap.values.real)
-        lower, diag, upper = op.slot_symbol[:, 0, :].real
+        lower, diag, upper = slot_symbol(mesh, op.A_T, [0])[:, 0, :].real
         self.laplacian = _Tridiagonal(np.array([np.roll(upper, 1), diag, np.roll(lower, -1)]))
 
     def norm(self, u: np.ndarray) -> float:

@@ -154,33 +154,23 @@ def run_time_convergence(config: RunConfig, out_dir) -> TimeConvergenceResult:
 
 PIPELINE_STAGES = ("mesh", "ground-state", "evolve", "vortices", "modes")
 
-_STAGE_DEPS = {
-    "mesh": (),
-    "ground-state": ("mesh",),
-    "evolve": ("ground-state",),
-    "vortices": ("evolve",),
-    "modes": ("evolve",),
-}
-
 
 def _stage_closure(stages) -> tuple[str, ...]:
+    """The selected stages with the ones they need, in PIPELINE_STAGES order.
+
+    mesh -> ground-state -> evolve is a chain; vortices and modes each need
+    evolve. Raises ConfigError on an unknown stage or an empty selection.
+    """
     if stages is None:
         return PIPELINE_STAGES
-    want: set[str] = set()
-
-    def add(name: str):
-        if name not in _STAGE_DEPS:
-            raise ConfigError(f"unknown pipeline stage {name!r}")
-        if name not in want:
-            want.add(name)
-            for dep in _STAGE_DEPS[name]:
-                add(dep)
-
+    stages = tuple(stages)
     for name in stages:
-        add(name)
-    if not want:
+        if name not in PIPELINE_STAGES:
+            raise ConfigError(f"unknown pipeline stage {name!r}")
+    if not stages:
         raise ConfigError("no pipeline stage selected")
-    return tuple(s for s in PIPELINE_STAGES if s in want)
+    reach = max(min(PIPELINE_STAGES.index(name), 2) for name in stages)
+    return tuple(s for i, s in enumerate(PIPELINE_STAGES) if i <= reach or s in stages)
 
 
 @contextmanager

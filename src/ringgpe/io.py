@@ -81,9 +81,6 @@ def format_float(x: float) -> str:
 # 1e-11 < |x| < 1e16: the double 1e-11 lies below 10^-11.
 _EXACT_MIN, _EXACT_MAX = 1e-11, 1e16
 _K_MIN, _K_MAX = -11, 15
-# The kernel makes ~60 numpy calls whatever the number of values; below
-# this many values '%.17g' one at a time is faster.
-_KERNEL_MIN_VALUES = 128
 _POW5 = np.array([5 ** q for q in range(17 - _K_MIN)], dtype=np.uint64)
 _TEN8, _TEN16, _TEN17 = np.uint64(10 ** 8), np.uint64(10 ** 16), np.uint64(10 ** 17)
 _ONE, _LOW32, _U32, _U64 = np.uint64(1), np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64)
@@ -185,8 +182,6 @@ def _exact_text(x: np.ndarray) -> np.ndarray:
 
 def _float_text(x: np.ndarray) -> list[bytes]:
     """'%.17g' of each value of a float64 array, as bytes."""
-    if x.size < _KERNEL_MIN_VALUES:
-        return [format_float(v).encode("ascii") for v in x.tolist()]
     ax = np.abs(x)
     exact = (ax > _EXACT_MIN) & (ax < _EXACT_MAX)
     if exact.all():

@@ -249,16 +249,18 @@ def tile_mode0(mesh: RingMesh, rows: np.ndarray) -> np.ndarray:
     return tile(mesh, np.asarray(rows).reshape(-1, 2)[:, ::-1], mesh.n_points)
 
 
-def slot_symbol(mesh: RingMesh, mat: sp.spmatrix) -> np.ndarray:
-    """Per-mode tridiagonal symbol of a slot-invariant operator on the mesh.
+def slot_symbol(mesh: RingMesh, mat: sp.spmatrix, modes) -> np.ndarray:
+    """Tridiagonal symbol of a real slot-invariant operator in the slot modes q of modes.
 
-    Returns S with shape (3, N_p, 2*n_bands): S[0, q, j], S[1, q, j] and
-    S[2, q, j] are the entries (j, j-1), (j, j) and (j, j+1) of mode q's
-    matrix, with unknowns ordered j = 2*band + (1 - kind). Each coupling
-    coefficient is averaged over the slots, so an operator that is
-    slot-invariant up to round-off gets its exact circulant neighbour.
-    Raises ValueError if a coupling reaches beyond the neighbouring slot or
-    outside the tridiagonal band.
+    Returns S with shape (3, len(modes), 2*n_bands): S[0, i, j], S[1, i, j]
+    and S[2, i, j] are the entries (j, j-1), (j, j) and (j, j+1) of the
+    matrix of mode q = modes[i], with unknowns ordered
+    j = 2*band + (1 - kind). Each coupling coefficient is averaged over the
+    slots, so an operator that is slot-invariant up to round-off gets its
+    exact circulant neighbour; the coefficients are summed in entry order,
+    so the symbol of a mode does not depend on which other modes are asked
+    for. Raises ValueError if a coupling reaches beyond the neighbouring
+    slot or outside the tridiagonal band.
     """
     n_b, n_p = mesh.n_bands, mesh.n_points
     mat = sp.csr_matrix(mat)
@@ -271,11 +273,10 @@ def slot_symbol(mesh: RingMesh, mat: sp.spmatrix) -> np.ndarray:
     d = ((c // 2 - r // 2 + 1) % n_p) - 1  # slot offset in -1 .. n_p - 2
     if np.any(np.abs(off) > 1) or np.any(d > 1):
         raise ValueError("operator couples beyond the tridiagonal slot-mode band")
-    coef = np.zeros((3, 3, 2 * n_b), dtype=mat.dtype)
-    np.add.at(coef, (off + 1, d + 1, j), mat.data)
-    coef /= n_p
-    q = np.arange(n_p)
-    phase = np.exp(2j * np.pi / n_p * np.outer(q, [-1, 0, 1]))
+    # np.bincount sums each bin in index order, as np.add.at does.
+    coef = np.bincount(((off + 1) * 3 + d + 1) * (2 * n_b) + j, mat.data, 18 * n_b)
+    coef = coef.reshape(3, 3, 2 * n_b) / n_p
+    phase = np.exp(2j * np.pi / n_p * np.outer(modes, [-1, 0, 1]))
     return np.einsum("odj,qd->oqj", coef, phase)
 
 
@@ -284,10 +285,11 @@ class SlotFFTSolver:
 
     shift and scale are scalars. With fold k and sign +1, b and x are the
     sectors (layout.tile) of fields repeating every S = N_p/k slots; their
-    slot FFT lives on the modes q = k p, so only those modes of
-    op.slot_symbol are factored and a solve takes length-S FFTs. Fold 1 is
-    the whole mesh. With sign -1 the fields change sign every S slots and
-    live on the modes q = k p + k/2: b is multiplied by exp(-i pi s/S)
+    slot FFT lives on the modes q = k p, so the solver computes and factors
+    the slot_symbol of A_T in those S modes only, and a solve takes
+    length-S FFTs. Fold 1 is the whole mesh. With sign -1 the fields change
+    sign every S slots and live on the modes q = k p + k/2, the modes it
+    then computes and factors: b is multiplied by exp(-i pi s/S)
     before its FFT and the result by exp(i pi s/S) after, which maps those
     modes onto the length-S FFT's.
 
@@ -346,7 +348,7 @@ class SlotFFTSolver:
         # Rows j, modes along the second axis. Row 0 has no lower and the
         # last row no upper neighbour: nothing lies below band 0 or above
         # the last band.
-        symbol = op.slot_symbol[:, first::fold]
+        symbol = slot_symbol(mesh, op.A_T, np.arange(first, mesh.n_points, fold))
         lower, diag, upper = np.ascontiguousarray((scale * symbol).transpose(0, 2, 1))
         diag += shift
         mult = np.zeros_like(diag)

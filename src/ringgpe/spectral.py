@@ -226,10 +226,6 @@ class ModeBasis:
     theta0: np.ndarray
 
     @property
-    def n_modes(self) -> int:
-        return (self.P + 1) * (2 * self.L + 1)
-
-    @property
     def fields(self):
         return ((self.field(p, ell) for ell in range(-self.L, self.L + 1))
                 for p in range(self.P + 1))
@@ -240,9 +236,6 @@ class ModeBasis:
         slot_phase = np.exp(2j * np.pi / n_p * (ell * np.arange(n_p) % n_p))
         row = self.radial[p, abs(ell)] * np.exp(1j * ell * self.theta0)
         return Field(self.mesh, (row[:, None, :] * slot_phase[:, None]).ravel())
-
-    def eigenvalue(self, p: int, ell: int) -> float:
-        return float(self.eigenvalues[p, ell + self.L])
 
 
 def mode_basis(mesh: RingMesh, P: int, L: int, n: int,

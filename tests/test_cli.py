@@ -104,6 +104,22 @@ class TestConfigErrors:
         assert "config error" in err and "triangles exceeds the limit of 10000000" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("entry,fragment", [
+        ("1e-3", "mesh of 19880718 triangles exceeds the limit of 10000000"),
+        ("1.0", "mesh counts too small"),
+        ("5e-324", "gives no finite mesh counts"),
+    ])
+    def test_bad_space_h_is_refused_before_any_mesh(self, tmp_path, capsys, entry, fragment):
+        bad = tmp_path / "space_h.ini"
+        bad.write_text("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 0.2\n"
+                       f"[harness]\nspace_h = 0.2, 0.1, {entry}\n")
+        out = tmp_path / "o"
+        assert cli.main(["conv-space", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 5: [harness]: space_h entry" in err
+        assert fragment in err
+        assert not out.exists()
+
     def test_threads_must_be_positive(self, tiny_path):
         assert cli.main(["mesh", "--config", tiny_path, "--threads", "0"]) == 2
 

@@ -110,6 +110,10 @@ BAD_CONFIGS = [
     ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 1e-9\n",
      "triangles exceeds the limit of 10000000"),
     ("[mesh]\nr_min = 0.6\nr_max = 1.4\nh = 5e-324\n", "gives no finite mesh counts"),
+    (MINIMAL + "[harness]\nspace_h = 0.2, 0.1, 1e-3\n",
+     "line 6: [harness]: space_h entry 0.001: mesh of 19880718 triangles exceeds"),
+    (MINIMAL + "[harness]\nspace_h = 0.1, 1.0, 0.05\n", "space_h entry 1.0: mesh counts too small"),
+    (MINIMAL + "[harness]\nspace_h = 5e-324\n", "space_h entry 5e-324: h = 5e-324 gives no"),
     (MINIMAL + "[harness]\ntime_k_max = 21\n",
      "line 7: [harness] time_k_max must lie in [2, 20], got 21"),
 ]
@@ -200,6 +204,12 @@ def _ini_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _space_h_fits(h, r_min, r_max):
+    """Whether conv-space can build the mesh of size h on the ring."""
+    n_c, n_p = derive_mesh_counts(h, r_min, r_max)
+    return n_c >= 2 and 2 * (n_c - 1) * n_p <= MAX_TRIANGLES
+
+
 @st.composite
 def valid_config_texts(draw):
     """INI text of a random valid config; optional keys are sometimes left out."""
@@ -229,6 +239,11 @@ def valid_config_texts(draw):
     n_c = n_circles if keep_circles else n_c
     n_p = mesh["n_points"] if keep_points else n_p
     assume(2 * (n_c - 1 + mesh["match_paper_counts"]) * n_p <= MAX_TRIANGLES)
+    # Each space_h entry sizes a mesh on the same ring, and only those that
+    # build parse: entries giving 2..100 circles, as for h.
+    space_h = tuple((r_max - r_min) / (c - 0.5)
+                    for c in draw(st.lists(st.integers(2, 100), min_size=1, max_size=5)))
+    assume(all(_space_h_fits(h, r_min, r_max) for h in space_h))
     sections = {
         "mesh": mesh,
         "physics": {
@@ -264,7 +279,7 @@ def valid_config_texts(draw):
             "n": draw(st.integers(2, 5000)),
         },
         "harness": {
-            "space_h": tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=5))),
+            "space_h": space_h,
             "space_beta_max": draw(st.integers(1, 10)),
             "time_k_min": k_min,
             "time_k_max": draw(st.integers(k_min, TIME_K_MAX_LIMIT)),
@@ -281,6 +296,9 @@ def valid_config_texts(draw):
             "n_circles": keep_circles, "n_points": keep_points}
     keep["tau"] = keep["t_max"] = draw(st.booleans())
     keep["time_k_min"] = keep["time_k_max"] = draw(st.booleans())
+    # Left out, space_h takes its default entries, which a thin ring cannot build.
+    if not all(_space_h_fits(h, r_min, r_max) for h in (0.1, 0.05, 0.025)):
+        keep["space_h"] = True
     lines = []
     for section, keys in sections.items():
         lines.append(f"[{section}]")

@@ -31,13 +31,12 @@ STIR = PotentialParams(m=M_EFF, V0=V0, V_p=0.05, n_theta=6, omega=10 * np.pi / 3
 STATIC = PotentialParams(m=M_EFF, V0=V0)
 
 
-def strang_step(u, t, kinetic, table, gamma):
-    """One unfused splitting step over [t, t + tau].
+def strang_step(u, t, tau, kinetic, table, gamma):
+    """One unfused splitting step over [t, t + tau], kinetic being the flow of tau.
 
     The plain composition that evolve, which fuses neighbouring half-flows,
     is tested against; u, kinetic and table belong to one sector.
     """
-    tau = kinetic.tau
     w = flow_potential(u, t, 0.5 * tau, table, gamma)
     w = kinetic.apply(w)
     return flow_potential(w, t + 0.5 * tau, 0.5 * tau, table, gamma)
@@ -191,7 +190,7 @@ class TestEvolve:
         psi = tiny_gs.values
         snapshots = [psi]
         for j in range(1, cfg.n_steps + 1):
-            psi = strang_step(psi, (j - 1) * cfg.tau, kinetic, table, GAMMA)
+            psi = strang_step(psi, (j - 1) * cfg.tau, cfg.tau, kinetic, table, GAMMA)
             if j % cfg.snapshot_stride == 0 or j == cfg.n_steps:
                 snapshots.append(psi)
         assert np.abs(r.final.values - psi).max() < 1e-12
@@ -268,7 +267,7 @@ class TestEvolve:
         mesh, op = tiny
         tau = 0.002
         kin = KineticFlow(op, tau, M_EFF)
-        one = strang_step(tiny_gs.values, 0.0, kin, phase_table(STIR, mesh.centers), GAMMA)
+        one = strang_step(tiny_gs.values, 0.0, tau, kin, phase_table(STIR, mesh.centers), GAMMA)
         r = evolve(tiny_gs, op, STIR, M_EFF, GAMMA,
                    SplitStepConfig(tau=tau, t_max=tau))
         assert np.abs(one - r.final.values).max() < 1e-13

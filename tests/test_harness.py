@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -220,6 +221,64 @@ class TestPipeline:
         # The manifests hash every deterministic artifact, so comparing them
         # compares the trees.
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
+# The former stage closure: a table of direct dependencies, pulled in
+# recursively. The reference for harness._stage_closure.
+_STAGE_DEPS = {
+    "mesh": (),
+    "ground-state": ("mesh",),
+    "evolve": ("ground-state",),
+    "vortices": ("evolve",),
+    "modes": ("evolve",),
+}
+
+
+def recursive_closure(stages):
+    if stages is None:
+        return PIPELINE_STAGES
+    want = set()
+
+    def add(name):
+        if name not in _STAGE_DEPS:
+            raise ConfigError(f"unknown pipeline stage {name!r}")
+        if name not in want:
+            want.add(name)
+            for dep in _STAGE_DEPS[name]:
+                add(dep)
+
+    for name in stages:
+        add(name)
+    if not want:
+        raise ConfigError("no pipeline stage selected")
+    return tuple(s for s in PIPELINE_STAGES if s in want)
+
+
+def closure_outcome(closure, stages):
+    """The stages closure returns, or the message of the ConfigError it raises."""
+    try:
+        return closure(stages)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+# All 32 subsets of the stages (the empty one included), a repeat, and
+# selections naming an unknown stage.
+STAGE_SELECTIONS = [subset for size in range(len(PIPELINE_STAGES) + 1)
+                    for subset in itertools.combinations(PIPELINE_STAGES, size)]
+STAGE_SELECTIONS += [("evolve", "evolve"), ("plot",), ("modes", "plot", "mesh"), ("Mesh",)]
+
+
+class TestStageClosure:
+    @pytest.mark.parametrize("stages", STAGE_SELECTIONS,
+                             ids=["+".join(s) or "empty" for s in STAGE_SELECTIONS])
+    def test_matches_the_recursive_closure(self, stages):
+        want = closure_outcome(recursive_closure, stages)
+        assert closure_outcome(harness._stage_closure, stages) == want
+        # Any iterable, in any order, is one selection.
+        assert closure_outcome(harness._stage_closure, iter(stages)) == want
+        assert closure_outcome(harness._stage_closure, list(reversed(stages))) == \
+            closure_outcome(recursive_closure, list(reversed(stages)))
 
 
 @pytest.fixture(scope="module")

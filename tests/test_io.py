@@ -302,19 +302,24 @@ def expected_text(values) -> list[bytes]:
     return [rio.format_float(v).encode("ascii") for v in values]
 
 
-def kernel_text(values) -> list[bytes]:
-    """_float_text of the values, repeated up to the size the kernel takes."""
-    x = np.asarray(values, dtype=np.float64)
-    return rio._float_text(np.resize(x, max(x.size, rio._KERNEL_MIN_VALUES)))[:x.size]
-
-
 class TestFloatKernel:
     """The vectorized float text against format_float, the '%.17g' reference."""
 
     def test_integer_zeros_and_a_power_of_ten_from_below(self):
         # 4000 keeps the zeros of its integer part and has no point; the
         # double 1e-07 lies below 10^-7, so its exponent is -8.
-        assert kernel_text([4000.0, 1e-07]) == [b"4000", b"9.9999999999999995e-08"]
+        assert rio._float_text(np.array([4000.0, 1e-07])) == [b"4000", b"9.9999999999999995e-08"]
+
+    def test_every_block_size_below_128_values(self):
+        # Small blocks go through the kernel as large ones do: blocks of 0 to
+        # 127 values drawn from ordinary values and the specials (zeros, a
+        # subnormal, nan, infinities, values outside 1e-11 < |x| < 1e16).
+        rng = np.random.default_rng(5)
+        pool = np.concatenate([NASTY, [1e-11, 1e16, -1e-300],
+                               rng.standard_normal(64) * 10.0 ** rng.integers(-14, 18, 64)])
+        for n in range(128):
+            x = rng.choice(pool, n)
+            assert rio._float_text(x) == expected_text(x)
 
     def test_every_binary_exponent(self):
         # Zero, the smallest, a middle and the largest mantissa at each of
@@ -323,19 +328,19 @@ class TestFloatKernel:
         exponents = np.arange(2048, dtype=np.uint64) << np.uint64(52)
         bits = (exponents[:, None] | mantissas).ravel()
         x = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
-        assert kernel_text(x) == expected_text(x)
+        assert rio._float_text(x) == expected_text(x)
 
     def test_powers_of_ten_and_their_neighbours(self):
         tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
         x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
-        assert kernel_text(x) == expected_text(x)
-        assert kernel_text(-x) == expected_text(-x)
+        assert rio._float_text(x) == expected_text(x)
+        assert rio._float_text(-x) == expected_text(-x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     def test_random_bit_patterns(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert kernel_text(x) == expected_text(x)
+        assert rio._float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(1023 - 40, 1023 + 56),
@@ -345,14 +350,14 @@ class TestFloatKernel:
         # 1e-11 < |x| < 1e16 and a little on either side.
         bits = [(sign << 63) | (e << 52) | m for sign, e, m in parts]
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert kernel_text(x) == expected_text(x)
+        assert rio._float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 16)), min_size=1,
                     max_size=32))
     def test_integer_values_ending_in_zeros(self, parts):
         x = np.array([float(a * 10**z) for a, z in parts])
-        assert kernel_text(x) == expected_text(x)
+        assert rio._float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.data())
@@ -367,7 +372,7 @@ class TestFloatKernel:
         if not 10.0**k <= x < 10.0 ** (k + 1):
             return
         assert (Fraction(x) * 10 ** (16 - k)).denominator == 2
-        assert kernel_text([x, -x]) == expected_text([x, -x])
+        assert rio._float_text(np.array([x, -x])) == expected_text([x, -x])
 
     def test_tables_match_the_per_cell_rule(self, tmp_path):
         # Columns over several blocks: one taking the repeat path, one the

@@ -3,6 +3,7 @@ tests against the stacked LAPACK solver and splu, the blocked sweep against
 the serial one, the pivot guard, the mode-0 gradient flow against the
 full-mesh flow, and unitarity of the Cayley flow the solver drives."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from ringgpe.layout import (
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
 from ringgpe.potentials import PotentialParams, trap_field
+from test_fv import same_bits
 from test_ground_state import energy_gradient, residual_criterion
 
 M_EFF = 10.0
@@ -62,6 +64,29 @@ def mesh(request):
 def small():
     mesh = build_ring_mesh(MESHES["odd"])
     return {bc: assemble_laplacian(mesh, bc) for bc in ("dirichlet", "neumann")}
+
+
+@functools.cache
+def cached_mesh(name):
+    return build_ring_mesh(preset_config("paper62").mesh if name == "paper62" else MESHES[name])
+
+
+def full_symbol(mesh, mat):
+    """slot_symbol in every slot mode, its coefficients summed by np.add.at:
+    the reference for slot_symbol in some of the modes."""
+    n_b, n_p = mesh.n_bands, mesh.n_points
+    mat = sp.csr_matrix(mat)
+    c = mat.indices
+    r = np.repeat(np.arange(mat.shape[0], dtype=c.dtype), np.diff(mat.indptr))
+    j = 2 * (r // (2 * n_p)) + 1 - r % 2
+    off = 2 * (c // (2 * n_p)) + 1 - c % 2 - j
+    d = ((c // 2 - r // 2 + 1) % n_p) - 1
+    coef = np.zeros((3, 3, 2 * n_b), dtype=mat.dtype)
+    np.add.at(coef, (off + 1, d + 1, j), mat.data)
+    coef /= n_p
+    q = np.arange(n_p)
+    phase = np.exp(2j * np.pi / n_p * np.outer(q, [-1, 0, 1]))
+    return np.einsum("odj,qd->oqj", coef, phase)
 
 
 def random_complex(mesh, seed):
@@ -126,7 +151,7 @@ class StackedGttrsSolver:
 
     def __init__(self, op, shift, scale):
         self.mesh = op.mesh
-        diags = scale * op.slot_symbol
+        diags = scale * slot_symbol(self.mesh, op.A_T, np.arange(self.mesh.n_points))
         diags[1] += shift
         gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"),
                                                     dtype=np.complex128)
@@ -201,7 +226,7 @@ class TestLayout:
     def test_symbol_reproduces_operator(self, mesh, bc):
         # Applying the symbol mode by mode equals A_T @ x.
         op = assemble_laplacian(mesh, bc)
-        sym = slot_symbol(mesh, op.A_T)
+        sym = slot_symbol(mesh, op.A_T, np.arange(mesh.n_points))
         x = random_complex(mesh, 1)
         xh = np.fft.fft(slot_view(mesh, x), axis=1).transpose(1, 0, 2)[:, :, ::-1]
         xh = xh.reshape(mesh.n_points, -1)
@@ -213,9 +238,21 @@ class TestLayout:
         y = np.fft.ifft(yh, axis=1).ravel()
         assert rel(y, op.A_T @ x) < 1e-13
 
-    def test_symbol_cached_on_operator(self, mesh):
-        op = assemble_laplacian(mesh, "dirichlet")
-        assert op.slot_symbol is op.slot_symbol
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name", sorted(MESHES) + ["paper62"])
+    def test_symbol_of_some_modes_is_the_full_symbol_there(self, name, bc):
+        # The modes of every sector: q = k p for each divisor fold k of N_p,
+        # and q = k p + k/2 for each even one (an antiperiodic sector).
+        mesh = cached_mesh(name)
+        mat = assemble_laplacian(mesh, bc).A_T
+        full = full_symbol(mesh, mat)
+        n_p = mesh.n_points
+        for fold in (k for k in range(1, n_p + 1) if n_p % k == 0):
+            for first in (0, fold // 2) if fold % 2 == 0 else (0,):
+                modes = np.arange(first, n_p, fold)
+                got = slot_symbol(mesh, mat, modes)
+                assert got.shape == (3, n_p // fold, 2 * mesh.n_bands)
+                assert same_bits(got, full[:, modes])
 
     def test_coupling_outside_band_rejected(self, mesh):
         # Triangle 0 is (band 0, slot 0, kind 0); column 2 N_p is kind 0 of
@@ -225,7 +262,7 @@ class TestLayout:
         for col in far:
             bad = op.A_T + sp.csr_matrix(([1.0], ([0], [col])), shape=op.A_T.shape)
             with pytest.raises(ValueError, match="tridiagonal"):
-                slot_symbol(mesh, bad)
+                slot_symbol(mesh, bad, [0])
 
     def test_refinement_absorbs_slot_defect(self, mesh):
         # The solver factors a slot-invariant system; the refinement step of
@@ -341,7 +378,7 @@ class TestSweep:
         # diagonal symbol is the same in every mode: a shift cancelling it
         # makes the first pivot of every mode zero.
         op = assemble_laplacian(mesh, bc)
-        sym = op.slot_symbol
+        sym = slot_symbol(mesh, op.A_T, np.arange(mesh.n_points))
         assert np.all(sym[1, :, 0] == sym[1, 0, 0])
         scale = -0.01
         with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 \(band 0, kind 1\)"):
@@ -484,7 +521,7 @@ class TestDispatch:
         op = small[bc]
         mesh = op.mesh
         kappa = 1e-2
-        cancel = (kappa / M_EFF) * op.slot_symbol[1, 0, 0].real * (1.0 + 1e-12)
+        cancel = (kappa / M_EFF) * slot_symbol(mesh, op.A_T, [0])[1, 0, 0].real * (1.0 + 1e-12)
         trap_value = (cancel - 1.0) / (2.0 * kappa)
         trap = Field.constant(mesh, trap_value)
         with pytest.raises(NumericalError, match=r"slot mode 0: .* row 0 "):

@@ -37,6 +37,7 @@ from ringgpe.layout import (
     residual_bounds,
     sector,
     sector_matrix,
+    slot_symbol,
     slot_view,
     tile,
 )
@@ -221,7 +222,7 @@ class TestSectorProperties:
         # mode of an antiperiodic sector of fold k is k/2.
         op = operator("even", "dirichlet")
         scale = -0.01
-        shift = -scale * op.slot_symbol[1, 0, 0].real
+        shift = -scale * slot_symbol(op.mesh, op.A_T, [0])[1, 0, 0].real
         with pytest.raises(NumericalError, match=rf"slot mode {fold // 2}: .* row 0 "):
             SlotFFTSolver(op, shift, scale, fold, -1)
 
@@ -482,7 +483,7 @@ class TestFoldedAgainstFull:
         psi = u0.values
         snapshots = [psi]
         for j in range(1, n_steps + 1):
-            psi = strang_step(psi, (j - 1) * tau, kinetic, table, GAMMA)
+            psi = strang_step(psi, (j - 1) * tau, tau, kinetic, table, GAMMA)
             if j % stride == 0 or j == n_steps:
                 snapshots.append(psi)
         return snapshots

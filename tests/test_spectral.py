@@ -287,10 +287,10 @@ def small_basis():
 
 class TestModeBasis:
     def test_counts_and_normalization(self, small_basis):
-        assert small_basis.n_modes == 2 * 13
-        for col in small_basis.fields:
-            for f in col:
-                assert abs(norm(f) - 1.0) < 1e-12
+        fields = [f for col in small_basis.fields for f in col]
+        assert small_basis.eigenvalues.shape == (2, 13) and len(fields) == 2 * 13
+        for f in fields:
+            assert abs(norm(f) - 1.0) < 1e-12
 
     def test_distinct_ell_orthogonal_to_machine_precision(self, small_basis):
         # Per ring the angles are uniform, so the angular sums cancel exactly
@@ -310,9 +310,9 @@ class TestModeBasis:
         assert worst < 2e-3
 
     def test_eigenvalue_parity(self, small_basis):
-        for p in range(2):
-            for ell in range(1, 7):
-                assert small_basis.eigenvalue(p, ell) == small_basis.eigenvalue(p, -ell)
+        # Column ell + L holds ell, L = 6: columns 7.. and 5..0 hold ell = 1..6 and -1..-6.
+        lam = small_basis.eigenvalues
+        assert np.array_equal(lam[:, 7:], lam[:, 5::-1])
 
 
 class TestDecompose:
