@@ -285,6 +285,16 @@ def parse_config(text: str) -> RunConfig:
     return _build(resolved, section_lines)
 
 
+def space_h_problem(ring: MeshParams, space_h: tuple[float, ...]) -> str | None:
+    """Why conv-space cannot build the mesh of some space_h entry on ring, or None."""
+    for h in space_h:
+        try:
+            max_triangle_angle(MeshParams(r_min=ring.r_min, r_max=ring.r_max, h=h))
+        except ValueError as exc:
+            return f"space_h entry {h!r}: {exc}"
+    return None
+
+
 def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
     def fail(section: str, exc) -> ConfigError:
         line = section_lines.get(section)
@@ -309,13 +319,12 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
                                      f"{angle:.6f} >= pi/2")
         except ValueError as exc:
             raise fail(section, exc) from None
-    # Each space_h entry sizes a mesh that conv-space builds on the same ring.
-    ring = fields["mesh"]
-    for h in fields["space_h"]:
-        try:
-            max_triangle_angle(MeshParams(r_min=ring.r_min, r_max=ring.r_max, h=h))
-        except ValueError as exc:
-            raise fail("harness", f"space_h entry {h!r}: {exc}") from None
+    # The default entries fit some rings only, so conv-space checks them when
+    # it runs; serialize_config writes them, so they are skipped here by value.
+    if fields["space_h"] != _SCHEMA["harness"]["space_h"].default:
+        problem = space_h_problem(fields["mesh"], fields["space_h"])
+        if problem:
+            raise fail("harness", problem)
     if fields["time_k_min"] > fields["time_k_max"]:
         raise fail("harness", "time_k_min exceeds time_k_max")
     return RunConfig(**fields)

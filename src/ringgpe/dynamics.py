@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator, norm, normalize
-from .ground_state import checked_solve, energy
-from .layout import SlotFFTSolver, invariant_fold, sector, slot_view, tile
+from .ground_state import energy
+from .layout import SlotFFTSolver, checked_solve, invariant_fold, sector, slot_view, tile
 from .potentials import PhaseTable, PotentialParams, phase_integral, phase_table, total_field
 
 
@@ -88,21 +88,9 @@ class KineticFlow:
     With M = I - z A_T and z = i tau/(4m), M^-1 (I + z A_T) = 2 M^-1 - I, so
     a step is one solve M x = u and returns 2x - u. The flow holds one
     layout.SlotFFTSolver(op, 1, -z, fold, sign), factored once and reused across
-    steps; every solve is refined once against its matrix, M on the sector,
-    and checked against the residual contract on it
-    (ground_state.checked_solve, given the solver's bounds). The
-    refinement is then the identity, x += r0 with r0 = u - M x: since
-    I - M = z A_T, the error in each eigenmode of A_T shrinks by
-    |z lambda|, which is small in the modes a smooth state lives in. The
-    refined x then has residual M x - u = (M - I) r0 = -z A_T r0 up to
-    rounding, so the check bounds it by ||M - I||_2 ||r0|| plus rounding
-    terms, with constants the solver computes once for M
-    (layout.residual_bounds), instead of a second product; on the
-    benchmark's states that bound stays below
-    2e-13 ||u||, against a contract of 1e-10. A step thus makes one
-    slot-FFT solve and one sparse product, and a second product only when
-    the bound does not clear the contract, where the exact residual
-    decides.
+    steps. A step makes one slot-FFT solve and one sparse product, and a
+    second product only where the certificate of layout.checked_solve, given
+    the solver's bounds, misses the contract.
 
     apply maps the values of a field's sector (layout.sector; at fold 1,
     of every triangle) to those of its image; with sign -1 the field

@@ -48,9 +48,6 @@ class Field:
     def constant(cls, mesh: RingMesh, value: complex = 1.0) -> "Field":
         return cls(mesh, np.full(mesh.n_triangles, value))
 
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
-
     def abs2(self) -> np.ndarray:
         return self.values.real**2 + self.values.imag**2
 

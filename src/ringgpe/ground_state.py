@@ -16,7 +16,6 @@ slot-invariant. energy is the same quantity for any field on the mesh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,102 +23,10 @@ from scipy.linalg import solve_banded
 
 from .errors import NumericalError
 from .fv import Field, LaplacianOperator
-from .layout import ResidualBounds, mode0_rows, slot_symbol, tile_mode0
-
-# Relative residual contract for every inner linear solve.
-SOLVER_RESIDUAL_TOL = 1e-10
+from .layout import checked_solve, mode0_rows, slot_symbol, tile_mode0
 
 # Smallest gradient-flow step size: below it the flow cannot lower the energy.
 KAPPA_MIN = 1e-14
-
-# Relative margin of refinement_certificate for the rounding of its norms
-# and constants: each is within ~n eps of exact for n values, far below it.
-CERTIFICATE_MARGIN = 1e-6
-
-
-def refinement_certificate(bounds: ResidualBounds, rhs_norm: float, x0_norm: float,
-                           r_norm: float) -> float:
-    """Upper bound on ||mat @ x1 - rhs|| after one identity refinement.
-
-    x0 = solve(rhs), r = rhs - mat @ x0 and x1 = x0 + r as checked_solve
-    computes them, bounds = layout.residual_bounds(mat) = (g, a, c eps,
-    floor) and the norms those of rhs, x0 and r. In exact arithmetic
-    mat x1 - rhs = (mat - I) r. Rounded, with u = eps/2 and k the most
-    entries in a row of mat (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 3: a complex inner product of k terms errs by at
-    most sqrt(2) gamma_(k+2) |mat| |x|, a sum or difference by u of its
-    value), mat x1 - rhs = (mat - I) r + mat e1 - e3 + e2 with
-    ||e1|| <= u (||x0|| + ||r||) (the sum), ||e3|| <= sqrt(2) gamma_(k+2)
-    a ||x0|| (the product) and ||e2|| <= u (||rhs|| + a ||x0||) (the
-    difference), so to first order in u
-
-        ||mat x1 - rhs|| <= g ||r|| + 2 (k + 3) u (a (||x0|| + ||r||) + ||rhs||).
-
-    Computing the residual as the exact check does, fl(fl(mat @ x1) - rhs),
-    adds at most as much again, as ||x1|| <= (1 + u) (||x0|| + ||r||).
-    The certificate takes c eps = 8 (k + 2) u >= 4 (k + 3) u for both,
-    which leaves room for the second-order terms, divides by
-    1 - CERTIFICATE_MARGIN for the rounding of the norms and constants,
-    and adds the floor for gradual underflow; an overflow leaves a norm
-    that is not finite. It thus bounds the exact residual and the one the
-    exact check would compute.
-    """
-    rounding = bounds.rounding * (bounds.abs_norm * (x0_norm + r_norm) + rhs_norm)
-    return (bounds.gap * r_norm + rounding) / (1.0 - CERTIFICATE_MARGIN) + bounds.floor
-
-
-def _norm(a: np.ndarray) -> float:
-    # One pass over a's values, where np.linalg.norm of a complex array
-    # makes two strided ones: 28 against 44 us on 39 852 values.
-    return math.sqrt(np.vdot(a, a).real)
-
-
-def checked_solve(solve, mat, rhs: np.ndarray, what: str,
-                  bounds: ResidualBounds | None = None) -> np.ndarray:
-    """Solve mat @ x = rhs with solve(b) ~ mat^-1 b under the residual contract.
-
-    Every solve gets one step of iterative refinement against mat:
-    x = solve(rhs), then x += refine(rhs - mat @ x) with an approximate
-    inverse refine ~ mat^-1, which multiplies the error by I - refine mat.
-    bounds picks refine. Without bounds it is a second solve. With
-    bounds = layout.residual_bounds(mat) it is the identity, which suffices
-    for the Cayley matrix mat = I - z A_T: I - mat = z A_T scales the error
-    in each eigenmode of A_T by |z lambda|, far below 1 in the smooth modes
-    that carry the state, which is where solver round-off would move the
-    mass (unrefined, the Cayley flow drifts by 3e-14 to 9e-14 over 300
-    steps; refined either way, by ~2e-16). The residual of the returned x
-    is then checked: above the contract, or NaN, it raises a
-    NumericalError naming `what`. A zero right-hand side gives zero. solve
-    must return a new array, which the correction updates in place, and
-    mat @ x a new array that can hold the residual, which is formed in it.
-
-    With bounds the check may skip its product: when
-    refinement_certificate, an upper bound on the residual of x from the
-    refinement's own residual, is at most the contract times ||rhs||, the
-    exact check would pass and x is returned. Otherwise, or on NaN, the
-    exact residual ||mat @ x - rhs|| / ||rhs|| decides, as without bounds.
-    Either way every accept or refuse is that of the exact check, and one
-    product is made where the certificate holds.
-    """
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return np.zeros_like(rhs)
-    x = solve(rhs)
-    r = mat @ x
-    np.subtract(rhs, r, out=r)
-    if bounds is None:
-        x += solve(r)
-    else:
-        cert = refinement_certificate(bounds, scale, _norm(x), _norm(r))
-        x += r
-        if cert <= SOLVER_RESIDUAL_TOL * scale:
-            return x
-    r = mat @ x
-    r -= rhs
-    res = np.linalg.norm(r) / scale
-    if not res <= SOLVER_RESIDUAL_TOL:
-        raise NumericalError(f"{what} residual {res:.3e} above contract")
-    return x
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as out_io
-from .config import INITIAL_UNSTABLE, RunConfig, serialize_config
+from .config import INITIAL_UNSTABLE, RunConfig, serialize_config, space_h_problem
 from .dynamics import EvolveResult, SplitStepConfig, evolve, make_unstable_state, order_estimate
 from .errors import ConfigError, NumericalError
 from .fv import Field, LaplacianOperator, assemble_laplacian, norm
@@ -70,6 +70,9 @@ def run_space_convergence(config: RunConfig, out_dir) -> SpaceConvergenceResult:
     """
     if len(config.space_h) < 3:
         raise ConfigError("space convergence needs at least 3 mesh sizes in space_h")
+    problem = space_h_problem(config.mesh, config.space_h)
+    if problem:
+        raise ConfigError(f"[harness]: {problem}")
     if config.bc != "dirichlet":
         raise ConfigError("space convergence compares against dirichlet eigenfunctions")
     r_min, r_max = config.mesh.r_min, config.mesh.r_max

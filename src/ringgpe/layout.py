@@ -1,4 +1,5 @@
-"""The (band, slot, kind) view of per-triangle arrays and the slot-FFT solver.
+"""The (band, slot, kind) view of per-triangle arrays, the slot-FFT solver
+and the checked solve.
 
 Triangle 2*(band*N_p + slot) + kind reshapes to an (n_bands, N_p, 2) array
 whose slot axis is periodic. The mesh is invariant under rotation by
@@ -40,6 +41,10 @@ fold is (invariant_fold).
 The same rotation maps the triangle adjacency graph onto itself, so a set
 of triangles found around slot 0 serves every slot once shifted along the
 slot axis (slot_shifted); the density detector uses this for its shells.
+
+Every linear solve of the package goes through checked_solve, which
+refines once and holds the residual to SOLVER_RESIDUAL_TOL; its
+certificate (residual_bounds, refinement_certificate) spares a product.
 """
 
 from __future__ import annotations
@@ -60,9 +65,9 @@ if TYPE_CHECKING:
 # Smallest pivot, relative to the 1-norm of its row, that the unpivoted
 # slot-mode factorization accepts. A smaller one would amplify round-off by
 # more than 1/PIVOT_TOL in one elimination step, beyond what one refinement
-# step against SlotFFTSolver.matrix (ground_state.checked_solve) is meant to
-# absorb; the Cayley flow refines with the identity, which corrects no
-# solver error in modes where |z lambda| >= 1.
+# step against SlotFFTSolver.matrix (checked_solve) is meant to absorb; the
+# Cayley flow refines with the identity, which corrects no solver error in
+# modes where |z lambda| >= 1.
 PIVOT_TOL = 1e-8
 
 # Sectors of at most this many slots sweep their slot modes in blocks
@@ -199,9 +204,9 @@ def sector_matrix(op: LaplacianOperator, shift: complex, scale: complex,
 
 
 class ResidualBounds(NamedTuple):
-    """Constants of a square matrix M with which ground_state.checked_solve
-    certifies the residual of a solve refined once with the identity, without
-    a second product with M (see refinement_certificate there)."""
+    """Constants of a square matrix M with which checked_solve certifies the
+    residual of a solve refined once with the identity, without a second
+    product with M (see refinement_certificate)."""
 
     gap: float  # >= ||M - I||_2
     abs_norm: float  # >= || |M| ||_2, |M| the entrywise modulus
@@ -237,6 +242,99 @@ def residual_bounds(mat: sp.csr_matrix) -> ResidualBounds:
     k = int(np.diff(mat.indptr).max())
     return ResidualBounds(gap, abs_norm, 4 * (k + 2) * float(np.finfo(float).eps),
                           1e-150 * math.sqrt(n) * (gap + abs_norm + 1.0))
+
+
+# Relative residual contract for every inner linear solve.
+SOLVER_RESIDUAL_TOL = 1e-10
+
+# Relative margin of refinement_certificate for the rounding of its norms
+# and constants: each is within ~n eps of exact for n values, far below it.
+CERTIFICATE_MARGIN = 1e-6
+
+
+def refinement_certificate(bounds: ResidualBounds, rhs_norm: float, x0_norm: float,
+                           r_norm: float) -> float:
+    """Upper bound on ||mat @ x1 - rhs|| after one identity refinement.
+
+    x0 = solve(rhs), r = rhs - mat @ x0 and x1 = x0 + r as checked_solve
+    computes them, bounds = residual_bounds(mat) = (g, a, c eps, floor) and
+    the norms those of rhs, x0 and r. In exact arithmetic
+    mat x1 - rhs = (mat - I) r. Rounded, with u = eps/2 and k the most
+    entries in a row of mat (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3: a complex inner product of k terms errs by at
+    most sqrt(2) gamma_(k+2) |mat| |x|, a sum or difference by u of its
+    value), mat x1 - rhs = (mat - I) r + mat e1 - e3 + e2 with
+    ||e1|| <= u (||x0|| + ||r||) (the sum), ||e3|| <= sqrt(2) gamma_(k+2)
+    a ||x0|| (the product) and ||e2|| <= u (||rhs|| + a ||x0||) (the
+    difference), so to first order in u
+
+        ||mat x1 - rhs|| <= g ||r|| + 2 (k + 3) u (a (||x0|| + ||r||) + ||rhs||).
+
+    Computing the residual as the exact check does, fl(fl(mat @ x1) - rhs),
+    adds at most as much again, as ||x1|| <= (1 + u) (||x0|| + ||r||).
+    The certificate takes c eps = 8 (k + 2) u >= 4 (k + 3) u for both,
+    which leaves room for the second-order terms, divides by
+    1 - CERTIFICATE_MARGIN for the rounding of the norms and constants,
+    and adds the floor for gradual underflow; an overflow leaves a norm
+    that is not finite. It thus bounds the exact residual and the one the
+    exact check would compute.
+    """
+    rounding = bounds.rounding * (bounds.abs_norm * (x0_norm + r_norm) + rhs_norm)
+    return (bounds.gap * r_norm + rounding) / (1.0 - CERTIFICATE_MARGIN) + bounds.floor
+
+
+def _norm(a: np.ndarray) -> float:
+    # One pass over a's values, where np.linalg.norm of a complex array
+    # makes two strided ones: 28 against 44 us on 39 852 values.
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def checked_solve(solve, mat, rhs: np.ndarray, what: str,
+                  bounds: ResidualBounds | None = None) -> np.ndarray:
+    """Solve mat @ x = rhs with solve(b) ~ mat^-1 b under the residual contract.
+
+    Every solve gets one step of iterative refinement against mat:
+    x = solve(rhs), then x += refine(rhs - mat @ x) with an approximate
+    inverse refine ~ mat^-1, which multiplies the error by I - refine mat.
+    bounds picks refine. Without bounds it is a second solve. With
+    bounds = residual_bounds(mat) it is the identity, which suffices
+    for the Cayley matrix mat = I - z A_T: I - mat = z A_T scales the error
+    in each eigenmode of A_T by |z lambda|, far below 1 in the smooth modes
+    that carry the state, which is where solver round-off would move the
+    mass (unrefined, the Cayley flow drifts by 3e-14 to 9e-14 over 300
+    steps; refined either way, by ~2e-16). The residual of the returned x
+    is then checked: above the contract, or NaN, it raises a
+    NumericalError naming `what`. A zero right-hand side gives zero. solve
+    must return a new array, which the correction updates in place, and
+    mat @ x a new array that can hold the residual, which is formed in it.
+
+    With bounds the check may skip its product: when
+    refinement_certificate, an upper bound on the residual of x from the
+    refinement's own residual, is at most the contract times ||rhs||, the
+    exact check would pass and x is returned. Otherwise, or on NaN, the
+    exact residual ||mat @ x - rhs|| / ||rhs|| decides, as without bounds.
+    Either way every accept or refuse is that of the exact check, and one
+    product is made where the certificate holds.
+    """
+    scale = np.linalg.norm(rhs)
+    if scale == 0.0:
+        return np.zeros_like(rhs)
+    x = solve(rhs)
+    r = mat @ x
+    np.subtract(rhs, r, out=r)
+    if bounds is None:
+        x += solve(r)
+    else:
+        cert = refinement_certificate(bounds, scale, _norm(x), _norm(r))
+        x += r
+        if cert <= SOLVER_RESIDUAL_TOL * scale:
+            return x
+    r = mat @ x
+    r -= rhs
+    res = np.linalg.norm(r) / scale
+    if not res <= SOLVER_RESIDUAL_TOL:
+        raise NumericalError(f"{what} residual {res:.3e} above contract")
+    return x
 
 
 def mode0_rows(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
@@ -319,19 +417,9 @@ class SlotFFTSolver:
     the factorization raises NumericalError when a pivot is not finite or
     falls below PIVOT_TOL of its row's 1-norm.
 
-    The assembled system, matrix = sector_matrix(op, shift, scale, fold, sign),
-    departs from exact slot invariance by round-off, so callers refine once
-    against it (ground_state.checked_solve(solver.solve, solver.matrix,
-    ...)); the residual that step forms also carries the round-off of the
-    FFTs and sweeps. bounds = residual_bounds(matrix) is computed once here
-    (~4 ms on paper62's 39 852 values): g >= ||matrix - I||_2 and
-    a >= || |matrix| ||_2. Passed to checked_solve, as the Cayley flow
-    does (dynamics.KineticFlow), it makes the refinement the identity
-    instead of a second solve: then matrix x1 - b = (matrix - I) r0 in
-    exact arithmetic for the refinement's own residual r0, so g ||r0||
-    plus rounding terms in a bound the residual without a second product.
-    Each solve returns a new complex array, so callers may update it in
-    place.
+    Callers check each solve with checked_solve against matrix, the sector's
+    sector_matrix, and its residual_bounds, bounds. Each solve returns a new
+    complex array, so callers may update it in place.
     """
 
     def __init__(self, op: LaplacianOperator, shift: complex, scale: complex, fold: int = 1,

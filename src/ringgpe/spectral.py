@@ -220,7 +220,6 @@ class ModeBasis:
     mesh: RingMesh
     P: int
     L: int
-    n: int
     eigenvalues: np.ndarray
     radial: np.ndarray
     theta0: np.ndarray
@@ -270,8 +269,8 @@ def mode_basis(mesh: RingMesh, P: int, L: int, n: int,
     if not np.all(norms > 0.0):
         raise ValueError("a radial profile vanishes at every circumcenter")
     radial /= norms[:, :, None, None]
-    return ModeBasis(mesh=mesh, P=P, L=L, n=n, eigenvalues=eigenvalues,
-                     radial=radial, theta0=theta0)
+    return ModeBasis(mesh=mesh, P=P, L=L, eigenvalues=eigenvalues, radial=radial,
+                     theta0=theta0)
 
 
 def decompose(u: Field, basis: ModeBasis) -> np.ndarray:

@@ -120,6 +120,24 @@ class TestConfigErrors:
         assert fragment in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ring,fragment", [
+        ("r_min = 1.0\nr_max = 1.08\nh = 0.02", "space_h entry 0.1: mesh counts too small"),
+        ("r_min = 0.1\nr_max = 30.0\nh = 1.0",
+         "space_h entry 0.025: mesh of 25484570 triangles exceeds the limit"),
+    ], ids=["thin", "wide"])
+    def test_default_space_h_is_checked_where_conv_space_reads_it(self, tmp_path, capsys,
+                                                                  ring, fragment):
+        # A ring that the default space_h entries do not fit runs every
+        # command but conv-space, which refuses it before building any mesh.
+        path = tmp_path / "ring.ini"
+        path.write_text(f"[mesh]\n{ring}\n[output]\nvtk = false\n")
+        assert cli.main(["mesh", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert cli.main(["conv-space", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: [harness]: {fragment}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_must_be_positive(self, tiny_path):
         assert cli.main(["mesh", "--config", tiny_path, "--threads", "0"]) == 2
 

@@ -13,12 +13,11 @@ from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
 from ringgpe.ground_state import (
     GradientFlowConfig,
-    checked_solve,
     compute_ground_state,
     energy,
     gradient_flow_step,
 )
-from ringgpe.layout import ResidualBounds, residual_bounds, slot_shifted
+from ringgpe.layout import ResidualBounds, checked_solve, residual_bounds, slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, trap_field
 from test_harness import thread_env

@@ -92,6 +92,19 @@ def test_every_export_has_a_caller_in_the_package_or_readme():
     assert unreferenced_exports(ringgpe._EXPORTS, sources, README.read_text()) == []
 
 
+SOLVE_CONTRACT = {"SOLVER_RESIDUAL_TOL", "CERTIFICATE_MARGIN", "checked_solve",
+                  "refinement_certificate", "ResidualBounds", "residual_bounds"}
+
+
+def test_solve_contract_is_defined_in_layout_only():
+    # One module owns how a solve is certified against the residual
+    # contract; any other module imports it from there.
+    owners = {name: sorted(path.stem for path in MODULES
+                           if name in top_level_names(path.read_text()))
+              for name in SOLVE_CONTRACT}
+    assert owners == {name: ["layout"] for name in SOLVE_CONTRACT}
+
+
 def test_reference_check_skips_own_definition():
     # A call from its own definition and a mention in a docstring or a
     # comment are not callers.

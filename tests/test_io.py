@@ -99,7 +99,7 @@ def write_every_table(out):
                            reliable=False)),
         (3.0, VortexRecord(7, (-1.0, 0.0), -1, 0, METHOD_PSEUDO_VORTICITY, -55.0)),
     ]
-    basis = ModeBasis(mesh, P=1, L=1, n=2,
+    basis = ModeBasis(mesh, P=1, L=1,
                       eigenvalues=np.array([[4.0, 1e300, 4.0], [-0.0, 5e-324, 7.5]]),
                       radial=np.zeros((2, 2, 1, 2)), theta0=np.zeros((1, 2)))
     # The last entry's power differs in the last digit between the scalar

@@ -23,13 +23,13 @@ from ringgpe.ground_state import (
     KAPPA_MIN,
     GradientFlowConfig,
     SlotInvariantProblem,
-    checked_solve,
     compute_ground_state,
     energy,
     gradient_flow_step,
 )
 from ringgpe.layout import (
     SlotFFTSolver,
+    checked_solve,
     mode0_rows,
     sector_matrix,
     slot_defect,

@@ -21,19 +21,16 @@ from ringgpe.dynamics import (
     evolve,
     make_unstable_state,
 )
-import ringgpe.ground_state as gs_mod
+from ringgpe import layout
 from ringgpe.errors import NumericalError
 from ringgpe.fv import Field, assemble_laplacian, normalize
-from ringgpe.ground_state import (
-    SOLVER_RESIDUAL_TOL,
-    GradientFlowConfig,
-    checked_solve,
-    compute_ground_state,
-    refinement_certificate,
-)
+from ringgpe.ground_state import GradientFlowConfig, compute_ground_state
 from ringgpe.layout import (
+    SOLVER_RESIDUAL_TOL,
     SlotFFTSolver,
+    checked_solve,
     invariant_fold,
+    refinement_certificate,
     residual_bounds,
     sector,
     sector_matrix,
@@ -366,7 +363,7 @@ def two_product_step(solver, u):
 
 class TestRefinementCertificate:
     """KineticFlow.apply certifies its refined residual from the
-    refinement's own residual (ground_state.refinement_certificate) and
+    refinement's own residual (layout.refinement_certificate) and
     makes one sparse product where the certificate clears the contract,
     with the bits and decisions of the two-product step."""
 
@@ -390,8 +387,8 @@ class TestRefinementCertificate:
         for _ in range(20):
             x = solver.solve(u)
             r = u - mat @ x
-            cert = refinement_certificate(solver.bounds, np.linalg.norm(u), gs_mod._norm(x),
-                                          gs_mod._norm(r))
+            cert = refinement_certificate(solver.bounds, np.linalg.norm(u), layout._norm(x),
+                                          layout._norm(r))
             x += r
             computed = np.linalg.norm(mat @ x - u)
             extended = np.sqrt(np.sum(np.abs(wide @ x.astype(np.clongdouble) - u) ** 2))
