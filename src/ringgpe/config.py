@@ -327,6 +327,10 @@ def _build(v: dict, section_lines: dict[str, int]) -> RunConfig:
             raise fail("harness", problem)
     if fields["time_k_min"] > fields["time_k_max"]:
         raise fail("harness", "time_k_min exceeds time_k_max")
+    # radial_modes needs this pair; run_pipeline checks the residual contract.
+    p_max, n = fields["modes_p_max"], fields["modes_n"]
+    if not p_max + 2 <= n:
+        raise fail("modes", f"p_max = {p_max} needs n >= p_max + 2 = {p_max + 2}, got n = {n}")
     return RunConfig(**fields)
 
 

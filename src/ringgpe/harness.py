@@ -22,6 +22,7 @@ from .dynamics import EvolveResult, SplitStepConfig, evolve, make_unstable_state
 from .errors import ConfigError, NumericalError
 from .fv import Field, LaplacianOperator, assemble_laplacian, norm
 from .ground_state import GroundStateResult, compute_ground_state
+from .layout import slot_labels
 from .mesh import AdmissibilityReport, MeshParams, RingMesh, build_ring_mesh, verify_admissibility
 from .potentials import PotentialParams, trap_field
 from .spectral import annulus_eigenfunction_field, annulus_eigenpairs, decompose, mode_basis
@@ -215,11 +216,25 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
 
     stages selects a subset of PIPELINE_STAGES (dependencies are pulled in
     automatically); every run ends with a manifest of the files written.
+    With modes, the mode basis comes first: its radial refusal is a ConfigError.
     """
     selected = _stage_closure(stages)
+    with _stage("mesh"):
+        mesh = build_ring_mesh(config.mesh)
+        report = verify_admissibility(mesh)
+        if not report.is_admissible:
+            raise NumericalError(
+                f"mesh is not admissible: max angle {report.max_angle:.6f}, "
+                f"orthogonality defect {report.max_orthogonality_defect:.3e}")
+    if "modes" in selected:
+        try:  # the basis needs only the mesh and [modes], so it is built first
+            basis = mode_basis(mesh, config.modes_p_max, config.modes_l_max,
+                               config.modes_n, config.potential.m, config.potential.V0)
+        except NumericalError as exc:
+            raise ConfigError(f"[modes]: n = {config.modes_n}: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = PipelineResult(stages=selected)
+    result = PipelineResult(stages=selected, mesh=mesh, admissibility=report)
     files = result.files
     unhashed: list[Path] = []
 
@@ -229,26 +244,15 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
             cells = data if isinstance(data, dict) else out_io.field_cell_data(data)
             files.append(out_io.write_legacy_vtk(out_dir / name, mesh, cells, title=title))
 
-    # Every stage depends on the mesh.
-    with _stage("mesh"):
-        mesh = build_ring_mesh(config.mesh)
-        report = verify_admissibility(mesh)
-        if not report.is_admissible:
-            raise NumericalError(
-                f"mesh is not admissible: max angle {report.max_angle:.6f}, "
-                f"orthogonality defect {report.max_orthogonality_defect:.3e}")
-        result.mesh = mesh
-        result.admissibility = report
-        files.extend(out_io.write_mesh_tables(out_dir, mesh))
-        files.append(out_io.write_admissibility_table(
-            out_dir / "admissibility.csv", report))
-        write_vtk("mesh.vtk", {"band": mesh.band, "kind": mesh.kind, "area": mesh.areas},
-                  "ring triangulation")
+    files.extend(out_io.write_mesh_tables(out_dir, mesh))
+    files.append(out_io.write_admissibility_table(out_dir / "admissibility.csv", report))
+    band, _, kind = slot_labels(mesh, np.arange(mesh.n_triangles))
+    write_vtk("mesh.vtk", {"band": band, "kind": kind, "area": mesh.areas}, "ring triangulation")
 
     if "ground-state" in selected:
         op = assemble_laplacian(mesh, config.bc)
         with _stage("ground-state"):
-            static, gs = _ground_state(config, op)
+            _, gs = _ground_state(config, op)
             result.ground_state = gs
             files.append(out_io.write_field_table(out_dir / "ground_state.csv", gs.field))
             files.append(out_io.write_flow_history_table(
@@ -306,8 +310,6 @@ def run_pipeline(config: RunConfig, out_dir, stages=None) -> PipelineResult:
 
     if "modes" in selected:
         with _stage("modes"):
-            basis = mode_basis(mesh, config.modes_p_max, config.modes_l_max,
-                               config.modes_n, static.m, static.V0)
             result.coeffs_initial = decompose(u0, basis)
             result.coeffs_final = decompose(final, basis)
             files.append(out_io.write_mode_table(

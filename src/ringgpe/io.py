@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .fv import Field
+from .layout import slot_labels
 from .mesh import AdmissibilityReport, RingMesh
 from .vortex import VortexRecord
 
@@ -197,7 +198,8 @@ def _float_text(x: np.ndarray) -> list[bytes]:
 def _repeated_float_text(x: np.ndarray) -> np.ndarray | None:
     """The cells of a float64 column in which at most a quarter of the bit
     patterns are distinct, rendering each distinct value once; None for a
-    column with more."""
+    column with more. It serves the columns with one value per (band, kind):
+    the slot-invariant ground state, the areas and mesh.vtk's band and kind."""
     bits = x.view(np.uint64)
     ordered = np.sort(bits)
     if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
@@ -299,7 +301,7 @@ def write_mesh_tables(out_dir, mesh: RingMesh) -> list[Path]:
         write_csv(out_dir / "triangles.csv",
                   ["triangle", "band", "slot", "kind", "v0", "v1", "v2",
                    "center_x", "center_y", "area"],
-                  [np.arange(mesh.n_triangles), mesh.band, mesh.slot, mesh.kind,
+                  [np.arange(mesh.n_triangles), *slot_labels(mesh, np.arange(mesh.n_triangles)),
                    *mesh.triangles.T, *mesh.centers.T, mesh.areas]),
         write_csv(out_dir / "edges.csv",
                   ["edge", "v0", "v1", "triangle_K", "triangle_L", "length",

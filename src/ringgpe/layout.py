@@ -38,9 +38,9 @@ field as before. Only sign +1 and -1 are supported: negation is exact, a
 complex phase is not, and the sign is detected by exact equality, as the
 fold is (invariant_fold).
 
-The same rotation maps the triangle adjacency graph onto itself, so a set
-of triangles found around slot 0 serves every slot once shifted along the
-slot axis (slot_shifted); the density detector uses this for its shells.
+The same rotation maps the triangle adjacency graph onto itself, so the
+labels (slot_labels, the inverse of slot_view) of triangles around slot 0
+serve slot s with s added modulo N_p; the density detector's shells do so.
 
 Every linear solve of the package goes through checked_solve, which
 refines once and holds the residual to SOLVER_RESIDUAL_TOL; its
@@ -104,15 +104,9 @@ def slot_view(mesh: RingMesh, values: np.ndarray) -> np.ndarray:
     return np.asarray(values).reshape(mesh.n_bands, mesh.n_points, 2)
 
 
-def slot_shifted(mesh: RingMesh, triangles: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """triangles rotated by slots[i] steps of 2*pi/N_p, one row per slot.
-
-    Row i holds the triangles (band, (slot + slots[i]) % N_p, kind) for each
-    (band, slot, kind) in triangles.
-    """
-    n_p = mesh.n_points
-    shifted = (mesh.slot[triangles] + np.asarray(slots)[:, None]) % n_p
-    return 2 * (mesh.band[triangles] * n_p + shifted) + mesh.kind[triangles]
+def slot_labels(mesh: RingMesh, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(band, slot, kind) of each triangle: the inverse of slot_view."""
+    return np.unravel_index(triangles, (mesh.n_bands, mesh.n_points, 2))
 
 
 def slot_defect(mesh: RingMesh, values: np.ndarray) -> float:

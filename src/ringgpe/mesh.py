@@ -104,7 +104,8 @@ class RingMesh:
 
     Triangles are indexed 2*(band*N_p + slot) + kind where kind 0 is the
     inward-pointing triangle (apex on the inner circle of the band) and kind 1
-    the outward-pointing one. Vertex id on circle j at slot k is j*N_p + k.
+    the outward-pointing one; layout.slot_view and its inverse slot_labels
+    map between the two. Vertex id on circle j at slot k is j*N_p + k.
     Edges are sorted by their (low vertex, high vertex) pair; edge_L is -1 on
     the boundary. edge_normal points from triangle K toward L (outward at the
     boundary) and equals the unit vector along the circumcenter segment, so it
@@ -116,9 +117,6 @@ class RingMesh:
     n_points: int
     vertices: np.ndarray
     triangles: np.ndarray
-    band: np.ndarray
-    slot: np.ndarray
-    kind: np.ndarray
     centers: np.ndarray
     areas: np.ndarray
     edge_vertices: np.ndarray
@@ -248,9 +246,6 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
     triangles = _slot_triangles(n_circ, n_p, np.arange(n_p))
     n_tri = triangles.shape[0]
     tri_idx = np.arange(n_tri)
-    band = tri_idx // (2 * n_p)
-    slot = (tri_idx // 2) % n_p
-    kind = tri_idx % 2
 
     # Canonical counterclockwise orientation.
     pa = vertices[triangles[:, 0]]
@@ -326,9 +321,6 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
         n_points=n_p,
         vertices=vertices,
         triangles=triangles,
-        band=band,
-        slot=slot,
-        kind=kind,
         centers=centers,
         areas=areas,
         edge_vertices=edge_vertices,

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
 from .fv import Field, discrete_curl, discrete_gradient
-from .layout import slot_shifted
+from .layout import slot_labels, slot_view
 from .mesh import triangle_shells
 
 # Fractional part of the winding quotient above which a density record is
@@ -125,11 +125,11 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     center density by tol2. Overlapping centers are thinned keeping the lower
     density, then each survivor gets its winding number.
 
-    Rotation by 2*pi/N_p is an automorphism of the adjacency graph, so the
-    shells around (band, slot, kind) are those around (band, 0, kind) shifted
-    by slot along the periodic slot axis. One shell search per (band, kind)
-    therefore confirms every candidate of that (band, kind) at once, and
-    gives each record the shell its winding is unwound on.
+    The density is read in the (band, slot, kind) view (layout.slot_view).
+    Rotation by 2*pi/N_p maps the adjacency graph onto itself, so the shells
+    around (band, s, kind) are those around (band, 0, kind) with s added to
+    every slot modulo N_p: one shell search per (band, kind), decoded once by
+    layout.slot_labels, confirms, thins and unwinds every candidate there.
 
     A candidate fails shell lam as soon as one member fails, so each open
     candidate is first tested against the members of shell lam in its own
@@ -138,47 +138,52 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     wall, mostly fail there: their own band is as dilute as they are.
     """
     mesh = u.mesh
-    dens = u.abs2()
-    candidates = np.flatnonzero(dens < params.tol1)
+    dens = slot_view(mesh, u.abs2())
+    triangle = slot_view(mesh, np.arange(mesh.n_triangles))
+    below = dens < params.tol1
+    band, slot, kind = np.nonzero(below)  # in triangle order, as the view is
+    level = dens[band, slot, kind]
+    # Doubled along the slots: the hot contrast tests index slots < 2 N_p.
+    dens2 = np.concatenate([dens, dens], axis=1)
 
-    # Confirming shell per candidate (0: unconfirmed), and per (band, kind)
-    # the shells 0 .. lambda_max around slot 0.
-    lam_of = np.zeros(candidates.size, dtype=np.int64)
+    # Confirming shell per candidate (0: unconfirmed), and per (band, kind) the
+    # labels of the shells 0 .. lambda_max around slot 0, split at ends.
+    lam_of = np.zeros(band.size, dtype=np.int64)
     templates = {}
-    group = 2 * mesh.band[candidates] + mesh.kind[candidates]
-    for key in np.unique(group):
-        in_group = np.flatnonzero(group == key)
-        band, kind = divmod(int(key), 2)
-        shells = triangle_shells(mesh, 2 * band * mesh.n_points + kind, params.lambda_max)
+    for b, k in np.argwhere(below.any(axis=1)):
+        in_group = np.flatnonzero((band == b) & (kind == k))
+        shells = triangle_shells(mesh, triangle[b, 0, k], params.lambda_max)
+        labels = slot_labels(mesh, np.concatenate(shells))
+        ends = np.cumsum([0] + [shell.size for shell in shells])
+        templates[b, k] = labels, ends
         for lam in range(1, params.lambda_max + 1):
             open_ = in_group[lam_of[in_group] == 0]
             # Shells past the graph boundary stay empty and confirm nothing.
-            if open_.size == 0 or shells[lam].size == 0:
+            if open_.size == 0 or ends[lam] == ends[lam + 1]:
                 break
-            shell = shells[lam]
-            for members in (shell[mesh.band[shell] == band], shell):
-                centers = candidates[open_]
-                ring = dens[slot_shifted(mesh, members, mesh.slot[centers])]
-                open_ = open_[np.all(ring > dens[centers, None] + params.tol2, axis=1)]
+            tb, ts, tk = (part[ends[lam]:ends[lam + 1]] for part in labels)
+            for own in (tb == b, slice(None)):
+                ring = dens2[tb[own], ts[own] + slot[open_, None], tk[own]]
+                open_ = open_[np.all(ring > level[open_, None] + params.tol2, axis=1)]
             lam_of[open_] = lam
-        templates[key] = shells
 
     # Thin conflicting centers: scan by ascending (density, triangle) and drop
     # any center lying in an already kept center's shell union (graph distance
     # is symmetric, so one-sided membership covers both directions).
     confirmed = np.flatnonzero(lam_of)
-    centers = candidates[confirmed]
+    centers = triangle[band, slot, kind]
     records = []
     blocked = np.zeros(mesh.n_triangles, dtype=bool)
-    for i in confirmed[np.lexsort((centers, dens[centers]))]:
-        n = int(candidates[i])
+    for i in confirmed[np.lexsort((centers[confirmed], level[confirmed]))]:
+        lam, n = int(lam_of[i]), int(centers[i])
         if blocked[n]:
             continue
-        shells, lam, slot = templates[group[i]], int(lam_of[i]), mesh.slot[[n]]
-        blocked[slot_shifted(mesh, np.concatenate(shells[1:]), slot)] = True
+        (tb, ts, tk), ends = templates[band[i], kind[i]]
+        ball = triangle[tb, (ts + slot[i]) % mesh.n_points, tk]
+        blocked[ball[ends[1]:]] = True
         # Ascending, as triangle_shells gives it: the angle sort of the
         # winding breaks exact ties by position in the shell.
-        shell = np.sort(slot_shifted(mesh, shells[lam], slot)[0])
+        shell = np.sort(ball[ends[lam]:ends[lam + 1]])
         try:
             index, defect = _unwound_shell_phase(u, n, shell)
             reliable = defect <= WINDING_DEFECT_TOL and index != 0
@@ -190,7 +195,7 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
             index_or_sign=index,
             characteristic_length=lam,
             method=METHOD_DENSITY,
-            extremum_value=float(dens[n]),
+            extremum_value=float(level[i]),
             reliable=reliable,
         ))
     records.sort(key=lambda r: r.triangle)

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from ringgpe.layout import slot_labels, slot_view
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.fv import assemble_laplacian
 from ringgpe.potentials import PotentialParams, trap_field
@@ -15,6 +16,17 @@ from ringgpe.ground_state import GradientFlowConfig, compute_ground_state
 M_EFF = 10.0
 V0 = 100.0
 GAMMA = 100.0
+
+
+def shifted_triangles(mesh, triangles, slots):
+    """triangles rotated by slots[i] steps of 2*pi/N_p, one row per slot.
+
+    Row i holds the triangles (band, (slot + slots[i]) % N_p, kind) for each
+    (band, slot, kind) in triangles.
+    """
+    band, slot, kind = slot_labels(mesh, triangles)
+    shifted = (slot + np.asarray(slots)[:, None]) % mesh.n_points
+    return slot_view(mesh, np.arange(mesh.n_triangles))[band, shifted, kind]
 
 
 @pytest.fixture(scope="session")

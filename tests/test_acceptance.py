@@ -20,7 +20,6 @@ from ringgpe.dynamics import KineticFlow, SplitStepConfig, evolve, flow_potentia
 from ringgpe.fv import Field, assemble_laplacian, complex_pairing, norm, normalize
 from ringgpe.ground_state import compute_ground_state
 from ringgpe.harness import run_space_convergence, run_time_convergence
-from ringgpe.layout import slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh, verify_admissibility
 from ringgpe.potentials import PotentialParams, phase_table, trap_field
 from ringgpe.spectral import (
@@ -39,6 +38,7 @@ from ringgpe.vortex import (
     pseudo_vorticity,
     regularized_vorticity,
 )
+from conftest import shifted_triangles
 
 M_EFF = 10.0
 V0 = 100.0
@@ -128,7 +128,7 @@ def test_05_ground_state_quality(desk_mesh, desk_ground_state):
     gs = desk_ground_state
     decreasing = bool(np.all(np.diff(gs.energies) < 0.0))
     # Rotation by 2*pi/N_p moves every triangle one slot on.
-    perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
+    perm = shifted_triangles(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
     sym = float(np.abs(gs.field.values[perm] - gs.field.values).max())
     ok = decreasing and gs.residual <= 5e-3 and sym < 1e-6
     detail = (f"energy strictly decreasing over {gs.iterations} iterations, "

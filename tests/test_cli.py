@@ -120,6 +120,41 @@ class TestConfigErrors:
         assert fragment in err
         assert not out.exists()
 
+    def test_modes_pair_is_refused_at_parse_time(self, tmp_path, capsys):
+        bad = tmp_path / "modes.ini"
+        bad.write_text(TINY.replace("n = 80", "n = 3").replace("p_max = 1", "p_max = 5"))
+        out = tmp_path / "o"
+        assert cli.main(["modes", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 11: [modes]: p_max = 5 needs n >= p_max + 2 = 7, got n = 3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("physics,n,fragment", [
+        ("", 9000, "n = 9000: radial eigenpair p=1, ell=0 residual"),
+        ("m = 1e-6", 80, "n = 80: radial eigenpair p=0, ell=0 residual"),
+    ], ids=["fine", "light"])
+    def test_modes_contract_is_checked_before_the_evolve(self, tmp_path, capsys, monkeypatch,
+                                                         physics, n, fragment):
+        # The radial eigenpairs miss their residual contract. Only modes
+        # reads them, so the config parses and mesh runs; modes refuses it
+        # before it writes anything or starts the evolve.
+        path = tmp_path / "modes.ini"
+        path.write_text(TINY.replace("[modes]", f"[physics]\n{physics}\n[modes]")
+                        .replace("n = 80", f"n = {n}"))
+        assert cli.main(["mesh", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("the evolve ran")
+
+        monkeypatch.setattr(harness, "evolve", no_evolve)
+        out = tmp_path / "o"
+        assert cli.main(["modes", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [modes]: {fragment}" in err
+        assert "above contract" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ring,fragment", [
         ("r_min = 1.0\nr_max = 1.08\nh = 0.02", "space_h entry 0.1: mesh counts too small"),
         ("r_min = 0.1\nr_max = 30.0\nh = 1.0",

@@ -116,6 +116,8 @@ BAD_CONFIGS = [
     (MINIMAL + "[harness]\nspace_h = 5e-324\n", "space_h entry 5e-324: h = 5e-324 gives no"),
     (MINIMAL + "[harness]\ntime_k_max = 21\n",
      "line 7: [harness] time_k_max must lie in [2, 20], got 21"),
+    (MINIMAL + "[modes]\np_max = 5\nn = 3\n",
+     "line 6: [modes]: p_max = 5 needs n >= p_max + 2 = 7, got n = 3"),
 ]
 
 NAN = float("nan")
@@ -181,6 +183,17 @@ class TestDiagnostics:
         # itself. The serialized config, which writes them out, parses too.
         cfg = parse_config(f"[mesh]\n{ring}\n")
         assert cfg.space_h == (0.1, 0.05, 0.025)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("text", [
+        "[mesh]\nr_min = 1.0\nr_max = 1.05\nh = 0.01\n",
+        MINIMAL + "[physics]\nm = 1e-6\n[modes]\np_max = 0\nl_max = 0\nn = 2\n",
+        MINIMAL + "[modes]\nn = 9000\n",
+    ], ids=["thin", "light", "fine"])
+    def test_modes_parse_whatever_their_radial_residual(self, text):
+        # Only the modes stage reads [modes]; it checks the radial residual
+        # contract itself, before any output.
+        cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_step_count_refused_by_split_config(self):
@@ -254,6 +267,9 @@ def valid_config_texts(draw):
     space_h = tuple((r_max - r_min) / (c - 0.5)
                     for c in draw(st.lists(st.integers(2, 100), min_size=1, max_size=5)))
     assume(all(_space_h_fits(h, r_min, r_max) for h in space_h))
+    p_max = draw(st.integers(0, 20))
+    modes = {"p_max": p_max, "l_max": draw(st.integers(0, 500)),
+             "n": draw(st.integers(p_max + 2, 5000))}
     sections = {
         "mesh": mesh,
         "physics": {
@@ -283,11 +299,7 @@ def valid_config_texts(draw):
             "delta": draw(_POSITIVE),
             "vort_threshold": draw(_POSITIVE),
         },
-        "modes": {
-            "p_max": draw(st.integers(0, 20)),
-            "l_max": draw(st.integers(0, 500)),
-            "n": draw(st.integers(2, 5000)),
-        },
+        "modes": modes,
         "harness": {
             "space_h": space_h,
             "space_beta_max": draw(st.integers(1, 10)),
@@ -301,11 +313,13 @@ def valid_config_texts(draw):
         },
     }
     # Coupled keys go in or out together: the drawn tau divides the drawn
-    # t_max, and the drawn time_k_min is at most the drawn time_k_max.
+    # t_max, the drawn time_k_min is at most the drawn time_k_max, and the
+    # drawn n is at least the drawn p_max + 2.
     keep = {"r_min": True, "r_max": True, "h": True,
             "n_circles": keep_circles, "n_points": keep_points}
     keep["tau"] = keep["t_max"] = draw(st.booleans())
     keep["time_k_min"] = keep["time_k_max"] = draw(st.booleans())
+    keep["p_max"] = keep["n"] = draw(st.booleans())
     lines = []
     for section, keys in sections.items():
         lines.append(f"[{section}]")

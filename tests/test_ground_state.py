@@ -17,9 +17,10 @@ from ringgpe.ground_state import (
     energy,
     gradient_flow_step,
 )
-from ringgpe.layout import ResidualBounds, checked_solve, residual_bounds, slot_shifted
+from ringgpe.layout import ResidualBounds, checked_solve, residual_bounds
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.potentials import PotentialParams, trap_field
+from conftest import shifted_triangles
 from test_harness import thread_env
 
 M_EFF = 10.0
@@ -368,7 +369,7 @@ class TestDeskGroundState:
 
     def test_rotational_symmetry(self, desk_mesh, desk_ground_state):
         # Rotation by 2*pi/N_p moves every triangle one slot on.
-        perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
+        perm = shifted_triangles(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
         vals = desk_ground_state.field.values
         assert np.abs(vals[perm] - vals).max() < 1e-6
 

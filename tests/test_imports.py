@@ -105,6 +105,72 @@ def test_solve_contract_is_defined_in_layout_only():
     assert owners == {name: ["layout"] for name in SOLVE_CONTRACT}
 
 
+def _factors(node) -> list:
+    """The factors of a product, or [node] for anything else."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _halves(node) -> bool:
+    """Whether node is 2 or a multiple 2*x of it; 2*pi, a period, is not."""
+    factors = _factors(node)
+    names = {f.id if isinstance(f, ast.Name) else f.attr for f in factors
+             if isinstance(f, (ast.Name, ast.Attribute))}
+    return any(isinstance(f, ast.Constant) and f.value == 2 for f in factors) \
+        and "pi" not in names
+
+
+def index_decodings(source: str) -> list[int]:
+    """Lines that split an index into (band, slot, kind) by the index formula
+    2*(band*N_p + slot) + kind: np.unravel_index, or //, % or divmod by 2 or
+    by a multiple of 2. Halving the slot count n_points decodes no index."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.Mod)):
+            dividend, divisor = node.left, node.right
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name == "unravel_index":
+                lines.add(node.lineno)
+            if name != "divmod" or len(node.args) != 2:
+                continue
+            dividend, divisor = node.args
+        else:
+            continue
+        slot_count = isinstance(dividend, ast.Attribute) and dividend.attr == "n_points"
+        if _halves(divisor) and not slot_count:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_layout_decodes_a_triangle_index():
+    # The index formula is known to layout alone: slot_view reshapes by it
+    # and slot_labels inverts it. The mesh stores no band, slot or kind.
+    tree = ast.parse((PACKAGE / "mesh.py").read_text())
+    ring_mesh = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "RingMesh")
+    assert {"band", "slot", "kind"}.isdisjoint(set().union(*map(defined_names, ring_mesh.body)))
+    decodings = {path.stem: index_decodings(path.read_text()) for path in MODULES
+                 if path.stem != "layout"}
+    assert {stem: lines for stem, lines in decodings.items() if lines} == {}
+
+
+def test_decoding_check_sees_index_arithmetic():
+    source = (
+        "band = t // (2 * n_p)\n"
+        "slot = (t // 2) % n_p\n"
+        "kind = t % 2\n"
+        "b, k = divmod(key, 2)\n"
+        "labels = np.unravel_index(t, shape)\n"
+        "half = mesh.n_points // 2 if mesh.n_points % 2 == 0 else 0\n"
+        "j, k = np.divmod(ids, n_p)\n"
+        "digits = np.divmod(x, 10000)\n"
+        "angle = theta % (2 * np.pi)\n"
+    )
+    assert index_decodings(source) == [1, 2, 3, 4, 5]
+
+
 def test_reference_check_skips_own_definition():
     # A call from its own definition and a mention in a docstring or a
     # comment are not callers.

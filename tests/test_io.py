@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ringgpe import io as rio
 from ringgpe.fv import Field
+from ringgpe.layout import slot_labels
 from ringgpe.mesh import AdmissibilityReport, MeshParams, build_ring_mesh, verify_admissibility
 from ringgpe.spectral import ModeBasis, mode_basis
 from ringgpe.vortex import METHOD_DENSITY, METHOD_PSEUDO_VORTICITY, VortexRecord
@@ -76,10 +77,9 @@ DIRECT_TABLE = (["i", "u", "x", "ok", "name"],
 
 def hand_mesh():
     return SimpleNamespace(
-        n_vertices=4, n_triangles=2, n_edges=3,
+        n_vertices=4, n_triangles=2, n_edges=3, n_bands=1, n_points=1,
         vertices=NASTY.reshape(4, 2),
         triangles=np.array([[0, 1, 2], [0, 2, 3]]),
-        band=np.array([0, 1]), slot=np.array([0, 3]), kind=np.array([0, 1]),
         centers=np.array([[1e300, -0.0], [np.nan, 5e-324]]),
         areas=np.array([np.inf, 0.5]),
         edge_vertices=np.array([[0, 1], [1, 2], [0, 2]]),
@@ -142,7 +142,7 @@ PINNED_BYTES = {
     'triangles.csv': (
         b'triangle,band,slot,kind,v0,v1,v2,center_x,center_y,area\n'
         b'0,0,0,0,0,1,2,1.0000000000000001e+300,-0,inf\n'
-        b'1,1,3,1,0,2,3,nan,4.9406564584124654e-324,0.5\n'
+        b'1,0,0,1,0,2,3,nan,4.9406564584124654e-324,0.5\n'
     ),
     'edges.csv': (
         b'edge,v0,v1,triangle_K,triangle_L,length,center_distance,normal_x,normal_y\n'
@@ -412,7 +412,8 @@ class TestFloatKernel:
     def test_desk_vtk_matches_the_per_value_rule(self, desk_mesh, desk_ground_state, tmp_path):
         # band and kind repeat; so does the slot-invariant ground state.
         mesh = desk_mesh
-        data = {"band": mesh.band, "kind": mesh.kind, "area": mesh.areas,
+        band, _, kind = slot_labels(mesh, np.arange(mesh.n_triangles))
+        data = {"band": band, "kind": kind, "area": mesh.areas,
                 **rio.field_cell_data(desk_ground_state.field)}
         path = rio.write_legacy_vtk(tmp_path / "m.vtk", mesh, data, title="desk")
         n = mesh.n_triangles
@@ -442,6 +443,8 @@ class TestTables:
         assert float(rows[k][2]) == mesh.vertices[k, 1]
         header, trows = read_csv(triangles)
         assert header[:4] == ["triangle", "band", "slot", "kind"]
+        n_p = mesh.n_points
+        assert [int(c) for c in trows[k][1:4]] == [k // (2 * n_p), k // 2 % n_p, k % 2]
         assert float(trows[k][9]) == mesh.areas[k]
 
     def test_admissibility_table(self, mesh, tmp_path):

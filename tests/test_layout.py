@@ -33,13 +33,14 @@ from ringgpe.layout import (
     mode0_rows,
     sector_matrix,
     slot_defect,
-    slot_shifted,
+    slot_labels,
     slot_symbol,
     slot_view,
     tile_mode0,
 )
 from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
 from ringgpe.potentials import PotentialParams, trap_field
+from conftest import shifted_triangles
 from test_fv import same_bits
 from test_ground_state import energy_gradient, residual_criterion
 
@@ -181,14 +182,16 @@ MATRIX_CASES = {**SOLVER_CASES, "complex shift": (1.0 + 0.5j, -0.01)}
 
 class TestLayout:
     def test_slot_view_matches_index_order(self, mesh):
+        # Triangle 2*(band*N_p + slot) + kind sits at (band, slot, kind) of
+        # the view, and slot_labels maps it back there.
         idx = slot_view(mesh, np.arange(mesh.n_triangles))
-        b, s, k = np.unravel_index(idx, idx.shape)
-        assert np.array_equal(mesh.band[idx], b)
-        assert np.array_equal(mesh.slot[idx], s)
-        assert np.array_equal(mesh.kind[idx], k)
+        b, s, k = np.indices(idx.shape)
+        assert np.array_equal(idx, 2 * (b * mesh.n_points + s) + k)
+        for got, want in zip(slot_labels(mesh, idx), (b, s, k)):
+            assert np.array_equal(got, want)
 
     def test_slot_shift_by_one_is_rotation(self, mesh):
-        idx = slot_shifted(mesh, np.arange(mesh.n_triangles), [0, 1, mesh.n_points])
+        idx = shifted_triangles(mesh, np.arange(mesh.n_triangles), [0, 1, mesh.n_points])
         assert np.array_equal(idx[0], np.arange(mesh.n_triangles))
         # Rotating by 2*pi/N_p carries each circumcenter onto that of the
         # triangle one slot on.
@@ -205,12 +208,12 @@ class TestLayout:
         mesh = build_ring_mesh(MESHES[name])
         templates = {}
         for t in range(mesh.n_triangles):
-            b, s, k = mesh.band[t], mesh.slot[t], mesh.kind[t]
+            b, s, k = (int(label) for label in slot_labels(mesh, t))
             if (b, k) not in templates:
                 templates[b, k] = triangle_shells(mesh, 2 * b * mesh.n_points + k, 6)
             shells = triangle_shells(mesh, t, 6)
             for got, tmpl in zip(shells, templates[b, k]):
-                want = slot_shifted(mesh, tmpl, [s])[0]
+                want = shifted_triangles(mesh, tmpl, [s])[0]
                 assert np.array_equal(got, np.sort(want))
         if name == "three":
             assert shells[-1].size == 0  # the whole graph lies within 6 hops
@@ -494,7 +497,7 @@ class TestDispatch:
                                    GradientFlowConfig(kappa0=1e-2, epsilon=5e-3))
         assert res.converged
         # Rotation by 2*pi/N_p moves every triangle one slot on.
-        perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
+        perm = shifted_triangles(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
         assert np.array_equal(res.field.values[perm], res.field.values)
         out = evolve(res.field, desk_op, STATIC, M_EFF, GAMMA,
                      SplitStepConfig(tau=6e-4, t_max=3e-3), keep_snapshots=False)

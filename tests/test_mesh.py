@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
-from ringgpe.layout import slot_shifted
 from ringgpe.mesh import (
     MeshParams,
     build_ring_mesh,
@@ -16,6 +15,7 @@ from ringgpe.mesh import (
     verify_admissibility,
     _increment_profile,
 )
+from conftest import shifted_triangles
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +206,7 @@ class TestGeometry:
 
     def test_rotation_invariance(self, desk_mesh):
         # Rotation by 2*pi/N_p moves every triangle one slot on.
-        perm = slot_shifted(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
+        perm = shifted_triangles(desk_mesh, np.arange(desk_mesh.n_triangles), [1])[0]
         assert np.array_equal(np.sort(perm), np.arange(desk_mesh.n_triangles))
         c = 2 * math.pi / desk_mesh.n_points
         rot = np.array([[math.cos(c), -math.sin(c)], [math.sin(c), math.cos(c)]])

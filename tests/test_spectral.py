@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ringgpe import spectral
 from ringgpe.fv import Field, assemble_laplacian, complex_pairing, norm, normalize
-from ringgpe.layout import slot_shifted
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.spectral import (
     AnnulusEigenpair,
@@ -21,6 +20,7 @@ from ringgpe.spectral import (
     mode_basis,
     radial_modes,
 )
+from conftest import shifted_triangles
 
 R_MIN, R_MAX = 0.6, 1.4
 M_EFF, V0 = 10.0, 100.0
@@ -119,7 +119,7 @@ class TestEigenfunctionField:
         u = annulus_eigenfunction_field(mesh, pair, 1)
         assert abs(norm(u) - 1.0) < 1e-12
         # Rotation by 2*pi/N_p moves every triangle one slot on.
-        perm = slot_shifted(mesh, np.arange(mesh.n_triangles), [1])[0]
+        perm = shifted_triangles(mesh, np.arange(mesh.n_triangles), [1])[0]
         assert np.abs(u.values[perm] - u.values).max() < 1e-12
 
     def test_residual_decreases_with_h(self):

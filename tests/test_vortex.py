@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ringgpe import vortex
 from ringgpe.errors import NumericalError
 from ringgpe.fv import Field
-from ringgpe.layout import slot_shifted
+from ringgpe.layout import slot_labels
 from ringgpe.mesh import MeshParams, build_ring_mesh, triangle_shells
 from ringgpe.vortex import (
     METHOD_DENSITY,
@@ -20,6 +20,7 @@ from ringgpe.vortex import (
     pseudo_vorticity,
     regularized_vorticity,
 )
+from conftest import shifted_triangles
 
 CORE_WIDTH = 0.05
 
@@ -124,7 +125,7 @@ def per_candidate_detect(u, params, stats=None):
 
     if stats is not None:
         stats["confirmed"] = len(confirmed)
-        stats["wrapped"] = any({0, mesh.n_points - 1} <= set(mesh.slot[ball].tolist())
+        stats["wrapped"] = any({0, mesh.n_points - 1} <= set(slot_labels(mesh, ball)[1].tolist())
                                for _, _, ball in confirmed)
     confirmed.sort(key=lambda item: (dens[item[0]], item[0]))
     kept = []
@@ -150,9 +151,10 @@ def full_shell_detect(u, params, stats=None):
     dens = u.abs2()
     candidates = np.flatnonzero(dens < params.tol1)
 
+    band_of, slot_of, kind_of = slot_labels(mesh, np.arange(mesh.n_triangles))
     lam_of = np.zeros(candidates.size, dtype=np.int64)
     balls = {}
-    group = 2 * mesh.band[candidates] + mesh.kind[candidates]
+    group = 2 * band_of[candidates] + kind_of[candidates]
     for key in np.unique(group):
         in_group = np.flatnonzero(group == key)
         band, kind = divmod(int(key), 2)
@@ -162,11 +164,11 @@ def full_shell_detect(u, params, stats=None):
             if open_.size == 0 or shells[lam].size == 0:
                 break
             centers = candidates[open_]
-            ring = dens[slot_shifted(mesh, shells[lam], mesh.slot[centers])]
+            ring = dens[shifted_triangles(mesh, shells[lam], slot_of[centers])]
             passed = np.all(ring > dens[centers, None] + params.tol2, axis=1)
             lam_of[open_[passed]] = lam
             if stats is not None:
-                own = mesh.band[shells[lam]] == band
+                own = band_of[shells[lam]] == band
                 stats["own_band_failures"] = stats.get("own_band_failures", 0) + int(
                     np.count_nonzero(~np.all(ring[:, own] > dens[centers, None] + params.tol2,
                                              axis=1)))
@@ -181,7 +183,7 @@ def full_shell_detect(u, params, stats=None):
         if blocked[n]:
             continue
         kept.append((n, int(lam_of[i])))
-        blocked[slot_shifted(mesh, balls[group[i]], mesh.slot[[n]])] = True
+        blocked[shifted_triangles(mesh, balls[group[i]], slot_of[[n]])] = True
 
     return kept_records(u, kept)
 
@@ -344,7 +346,7 @@ class TestTemplateDetector:
         for zi, ci in zip(zeros, (+1, -1, +1)):
             vals = vals * sat_vortex(z, zi, ci, xi=0.1)
         # Rotation by shift * 2*pi/N_p moves every triangle shift slots on.
-        perm = slot_shifted(ring, np.arange(ring.n_triangles), [shift])[0]
+        perm = shifted_triangles(ring, np.arange(ring.n_triangles), [shift])[0]
         rotated = np.empty_like(vals)
         rotated[perm] = vals
         params = DetectionParams(tol1=0.3, tol2=0.05, lambda_max=3)
@@ -367,7 +369,8 @@ class TestTemplateDetector:
         u = planted_state(mesh, [1.0 + 0j, 1j, -1.0 + 0j, -1j], [+1, -1, +1, +1])
         recs = detect_by_density(u, DetectionParams())
         cand = np.flatnonzero(u.abs2() < DetectionParams().tol1)
-        groups = np.unique(2 * mesh.band[cand] + mesh.kind[cand])
+        band, _, kind = slot_labels(mesh, cand)
+        groups = np.unique(2 * band + kind)
         # One template around slot 0 per (band, kind) with a candidate; the
         # windings of the records reuse those templates.
         band, kind = np.divmod(groups, 2)
@@ -468,7 +471,8 @@ class TestRegularizedVorticity:
         k = np.array([1.5, 0.7])
         u = Field(mesh, np.exp(1j * (mesh.centers @ k)))
         w = regularized_vorticity(u, 0.1)
-        deep = (mesh.band >= 2) & (mesh.band <= mesh.n_bands - 3)
+        band = slot_labels(mesh, np.arange(mesh.n_triangles))[0]
+        deep = (band >= 2) & (band <= mesh.n_bands - 3)
         assert np.abs(w.values[deep]).max() < 0.05
 
     def test_sign_convention_at_core(self, mesh):
@@ -490,7 +494,8 @@ class TestPseudoVorticity:
     def test_linear_field_unit_interior(self, mesh):
         u = Field(mesh, mesh.centers[:, 0] + 1j * mesh.centers[:, 1])
         w = pseudo_vorticity(u)
-        interior = (mesh.band >= 1) & (mesh.band <= mesh.n_bands - 2)
+        band = slot_labels(mesh, np.arange(mesh.n_triangles))[0]
+        interior = (band >= 1) & (band <= mesh.n_bands - 2)
         assert np.abs(w.values[interior] - 1.0).max() < 1e-12
 
     def test_real_field_is_zero(self, mesh):
