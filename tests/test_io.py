@@ -257,6 +257,17 @@ class TestExactBytes:
         with pytest.raises(ValueError, match="quote"):
             rio.write_csv(tmp_path / "h.csv", [text], [[1]])
 
+    @pytest.mark.parametrize("text", ["a\x00b", "c\x00", "\x00"])
+    @pytest.mark.parametrize("where", ["cell", "header"])
+    def test_refuses_nul_before_opening(self, tmp_path, text, where):
+        # A trailing NUL used to vanish from a cell and an inner one to be
+        # written; the writers drop NUL padding, so text must hold none.
+        path = tmp_path / "t.csv"
+        header, cells = (["name"], [text]) if where == "cell" else ([text], ["x"])
+        with pytest.raises(ValueError, match="NUL"):
+            rio.write_csv(path, header, [cells])
+        assert not path.exists()
+
     def test_rows_span_blocks(self, tmp_path):
         n = 2 * rio._BLOCK_ROWS + 3
         x = np.random.default_rng(5).standard_normal(n)
@@ -283,23 +294,32 @@ class TestExactBytes:
         assert not path.exists()
 
 
-def reference_csv(header, columns) -> bytes:
-    """A table's bytes by the per-cell rule: '%d' for integers, '%.17g' for
-    floats, '%s' for text, true/false for booleans."""
+def reference_lines(columns, sep: str = ",") -> bytes:
+    """Rows by the per-cell rule: '%d' for integers, '%.17g' for floats,
+    '%s' for text, true/false for booleans."""
     columns = [np.asarray(c) for c in columns]
     rule = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
     def cell(value, kind):
         return ("true" if value else "false") if kind == "b" else rule[kind] % value
 
+    kinds = [c.dtype.kind for c in columns]
     rows = zip(*[c.tolist() for c in columns])
-    lines = [",".join(header)] + [
-        ",".join(cell(v, c.dtype.kind) for v, c in zip(row, columns)) for row in rows]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return "".join(sep.join(map(cell, row, kinds)) + "\n" for row in rows).encode("ascii")
+
+
+def reference_csv(header, columns) -> bytes:
+    """A table's bytes by the per-cell rule, its header line first."""
+    return reference_lines([[name] for name in header]) + reference_lines(columns)
 
 
 def expected_text(values) -> list[bytes]:
     return [rio.format_float(v).encode("ascii") for v in values]
+
+
+def float_text(x) -> list[bytes]:
+    """The float kernel's cells as bytes, their NUL padding dropped."""
+    return rio._float_text(x).tolist()
 
 
 class TestFloatKernel:
@@ -308,7 +328,7 @@ class TestFloatKernel:
     def test_integer_zeros_and_a_power_of_ten_from_below(self):
         # 4000 keeps the zeros of its integer part and has no point; the
         # double 1e-07 lies below 10^-7, so its exponent is -8.
-        assert rio._float_text(np.array([4000.0, 1e-07])) == [b"4000", b"9.9999999999999995e-08"]
+        assert float_text(np.array([4000.0, 1e-07])) == [b"4000", b"9.9999999999999995e-08"]
 
     def test_every_block_size_below_128_values(self):
         # Small blocks go through the kernel as large ones do: blocks of 0 to
@@ -319,7 +339,7 @@ class TestFloatKernel:
                                rng.standard_normal(64) * 10.0 ** rng.integers(-14, 18, 64)])
         for n in range(128):
             x = rng.choice(pool, n)
-            assert rio._float_text(x) == expected_text(x)
+            assert float_text(x) == expected_text(x)
 
     def test_every_binary_exponent(self):
         # Zero, the smallest, a middle and the largest mantissa at each of
@@ -328,19 +348,19 @@ class TestFloatKernel:
         exponents = np.arange(2048, dtype=np.uint64) << np.uint64(52)
         bits = (exponents[:, None] | mantissas).ravel()
         x = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
-        assert rio._float_text(x) == expected_text(x)
+        assert float_text(x) == expected_text(x)
 
     def test_powers_of_ten_and_their_neighbours(self):
         tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
         x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
-        assert rio._float_text(x) == expected_text(x)
-        assert rio._float_text(-x) == expected_text(-x)
+        assert float_text(x) == expected_text(x)
+        assert float_text(-x) == expected_text(-x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     def test_random_bit_patterns(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert rio._float_text(x) == expected_text(x)
+        assert float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(1023 - 40, 1023 + 56),
@@ -350,14 +370,14 @@ class TestFloatKernel:
         # 1e-11 < |x| < 1e16 and a little on either side.
         bits = [(sign << 63) | (e << 52) | m for sign, e, m in parts]
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert rio._float_text(x) == expected_text(x)
+        assert float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 16)), min_size=1,
                     max_size=32))
     def test_integer_values_ending_in_zeros(self, parts):
         x = np.array([float(a * 10**z) for a, z in parts])
-        assert rio._float_text(x) == expected_text(x)
+        assert float_text(x) == expected_text(x)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.data())
@@ -372,7 +392,7 @@ class TestFloatKernel:
         if not 10.0**k <= x < 10.0 ** (k + 1):
             return
         assert (Fraction(x) * 10 ** (16 - k)).denominator == 2
-        assert rio._float_text(np.array([x, -x])) == expected_text([x, -x])
+        assert float_text(np.array([x, -x])) == expected_text([x, -x])
 
     def test_tables_match_the_per_cell_rule(self, tmp_path):
         # Columns over several blocks: one taking the repeat path, one the
@@ -426,6 +446,71 @@ class TestFloatKernel:
             want += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
             want += [rio.format_float(v) for v in values]
         assert path.read_text(encoding="ascii") == "\n".join(want) + "\n"
+
+
+# Every dtype the writers accept, and the row counts around block edges.
+ROW_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+              np.uint64, np.float16, np.float32, np.float64, np.str_]
+BLOCK_EDGES = [0, 1, 2, 5, rio._BLOCK_ROWS - 1, rio._BLOCK_ROWS, rio._BLOCK_ROWS + 1,
+               2 * rio._BLOCK_ROWS + 3]
+
+
+def cell_values(dtype: np.dtype):
+    """One value of dtype, with its extremes and specials drawn often."""
+    if dtype.kind == "b":
+        return st.booleans()
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return st.one_of(st.sampled_from([int(info.min), int(info.max), 0, 1]),
+                         st.integers(int(info.min), int(info.max)))
+    if dtype.kind == "f":
+        info = np.finfo(dtype)
+        specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, float(info.smallest_subnormal),
+                    -float(info.smallest_subnormal), float(info.tiny), float(info.max)]
+        return st.one_of(st.sampled_from(specials), st.floats(width=8 * dtype.itemsize))
+    return st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                 exclude_characters=',"'), max_size=6)
+
+
+@st.composite
+def tables(draw, n_rows: int):
+    """One column of each accepted dtype, in a drawn order. Each holds either
+    a few drawn values repeated (the repeat path for floats) or random bit
+    patterns of its dtype."""
+    columns = []
+    for dtype in map(np.dtype, draw(st.permutations(ROW_DTYPES))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if dtype.kind in "iuf" and draw(st.booleans()):
+            bits = rng.integers(0, 2**64, n_rows, dtype=np.uint64, endpoint=False)
+            column = bits.astype(f"u{dtype.itemsize}").view(dtype)
+        else:
+            pool = np.array(draw(st.lists(cell_values(dtype), min_size=1, max_size=12)),
+                            dtype=dtype)
+            column = pool[rng.integers(0, pool.size, n_rows)]
+        columns.append(column)
+    return columns
+
+
+class TestRowAssembly:
+    """The byte-matrix rows of _lines against the per-cell reference."""
+
+    @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(data=st.data(), sep=st.sampled_from([",", " "]))
+    def test_rows_match_the_per_cell_rule(self, n_rows, data, sep):
+        columns = data.draw(tables(n_rows))
+        assert b"".join(rio._lines(columns, sep)) == reference_lines(columns, sep)
+
+    def test_no_columns_no_rows(self):
+        assert list(rio._lines([])) == []
+
+    def test_integer_extremes(self):
+        columns = [np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]),
+                   np.array([np.iinfo(np.uint64).max, 0, 10**19, 9999], dtype=np.uint64)]
+        assert b"".join(rio._lines(columns)) == (b"-9223372036854775808,18446744073709551615\n"
+                                                 b"9223372036854775807,0\n"
+                                                 b"-1,10000000000000000000\n"
+                                                 b"0,9999\n")
 
 
 class TestTables:
@@ -591,6 +676,15 @@ class TestVtk:
     def test_rejects_multiline_title(self, mesh, tmp_path):
         with pytest.raises(ValueError, match="single line"):
             rio.write_legacy_vtk(tmp_path / "s.vtk", mesh, title="a\nb")
+
+    @pytest.mark.parametrize("title", ["a\rb", "a\x00b", "snap\x00"], ids=["cr", "nul", "end-nul"])
+    def test_rejects_title_with_cr_or_nul_before_opening(self, mesh, tmp_path, title):
+        # A CR breaks the header line for readers that split on it; a NUL
+        # ends the title early in C readers.
+        path = tmp_path / "s.vtk"
+        with pytest.raises(ValueError, match="single line of at most 255 characters, without NUL"):
+            rio.write_legacy_vtk(path, mesh, title=title)
+        assert not path.exists()
 
     def test_refuses_non_ascii_title_before_opening(self, mesh, tmp_path):
         path = tmp_path / "s.vtk"
