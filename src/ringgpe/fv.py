@@ -116,6 +116,19 @@ def _flux_edges(mesh: RingMesh, bc: str):
     return inner, walls, t[:inner.size], t[inner.size:]
 
 
+def _flux_triplets(mesh: RingMesh, bc: str) -> sp.coo_matrix:
+    """A as unsummed COO triplets with int32 indices, edge by edge in the
+    stored edge order."""
+    inner, walls, c, cw = _flux_edges(mesh, bc)
+    k = mesh.edge_K[inner]
+    l = mesh.edge_L[inner]
+    kw = mesh.edge_K[walls]
+    rows = np.concatenate((k, l, k, l, kw), dtype=np.int32)
+    cols = np.concatenate((l, k, k, l, kw), dtype=np.int32)
+    n = mesh.n_triangles
+    return sp.coo_matrix((np.concatenate((c, c, -c, -c, -cw)), (rows, cols)), shape=(n, n))
+
+
 def assemble_laplacian(mesh: RingMesh, bc: str = "dirichlet") -> LaplacianOperator:
     """Assemble the two-point flux Laplacian on the mesh.
 
@@ -123,23 +136,18 @@ def assemble_laplacian(mesh: RingMesh, bc: str = "dirichlet") -> LaplacianOperat
     |sigma| (U_L - U_K)/d_{K,L} to row K (and its negative to row L); a
     wall edge contributes -|sigma| U_K / d_{K,sigma} to row K (ghost value 0
     beyond it). Assembly walks edges in their stored sorted order, so the
-    matrices are reproducible bit for bit.
+    matrices are reproducible bit for bit. A_T is A with row K scaled by
+    1/|K|: the same indices, and each entry the one rounded product that
+    diag(1/|K|) A forms.
     """
-    inner, walls, c, cw = _flux_edges(mesh, bc)
-    n = mesh.n_triangles
-    k = mesh.edge_K[inner]
-    l = mesh.edge_L[inner]
-    kw = mesh.edge_K[walls]
-    A = sp.coo_matrix(
-        (np.concatenate((c, c, -c, -c, -cw)),
-         (np.concatenate((k, l, k, l, kw)), np.concatenate((l, k, k, l, kw)))),
-        shape=(n, n),
-    ).tocsr()
+    A = _flux_triplets(mesh, bc).tocsr()
     A.sum_duplicates()
     A.sort_indices()
-    A_T = (sp.diags(1.0 / mesh.areas) @ A).tocsr()
-    A_T.sort_indices()
-    return LaplacianOperator(mesh=mesh, bc=bc, A=A, A_T=A_T)
+    # Summing leaves A's arrays views of the longer triplet arrays; its
+    # copies hold no slack.
+    A_T = A.copy()
+    A_T.data *= np.repeat(1.0 / mesh.areas, np.diff(A.indptr))
+    return LaplacianOperator(mesh=mesh, bc=bc, A=A.copy(), A_T=A_T)
 
 
 def _scatter_add(n: int, owners: np.ndarray, terms: np.ndarray) -> np.ndarray:

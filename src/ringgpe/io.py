@@ -197,11 +197,12 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _repeated_float_text(x: np.ndarray) -> np.ndarray | None:
-    """The cells of a float64 column in which at most a quarter of the bit
-    patterns are distinct, rendering each distinct value once; None for a
-    column with more. It serves the columns with one value per (band, kind):
-    the slot-invariant ground state, the areas and mesh.vtk's band and kind."""
+def _repeated_float_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct texts of a float64 column in which at most a quarter of
+    the bit patterns are distinct, each rendered once, and the index of each
+    cell's text among them; None for a column with more. It serves the
+    columns with one value per (band, kind): the slot-invariant ground
+    state, the areas and mesh.vtk's band and kind."""
     bits = x.view(np.uint64)
     ordered = np.sort(bits)
     if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
@@ -211,7 +212,7 @@ def _repeated_float_text(x: np.ndarray) -> np.ndarray | None:
     for start in range(0, values.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, values.size)
         text[start:stop] = _float_text(values[start:stop].view(np.float64))
-    return text[inverse]
+    return text, inverse
 
 
 # Powers of ten that a uint64 reaches: a value has one digit more than the
@@ -248,9 +249,11 @@ def _column_text(c: np.ndarray):
     if kind == "f":
         with np.errstate(invalid="ignore"):  # a narrower signaling NaN reads "nan"
             c = c.astype(np.float64, copy=False)
-        text = _repeated_float_text(c)
-        if text is None:
+        repeated = _repeated_float_text(c)
+        if repeated is None:
             return lambda start, stop: _float_text(c[start:stop])
+        text, inverse = repeated
+        return lambda start, stop: text[inverse[start:stop]]
     elif kind == "b":
         text = np.where(c, b"true", b"false")
     else:
@@ -266,7 +269,7 @@ def _lines(columns: Iterable, sep: str = ",") -> Iterator[bytes]:
     the line break. Its bytes with the NULs deleted are the block's text,
     so no cell may hold a NUL. A float column goes through the float kernel
     one block at a time, unless it holds few distinct values, which are
-    rendered once for the whole column.
+    rendered once for the whole column and gathered one block at a time.
     """
     given = list(columns)
     columns = [np.asarray(c) for c in given]

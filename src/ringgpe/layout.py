@@ -341,6 +341,48 @@ def tile_mode0(mesh: RingMesh, rows: np.ndarray) -> np.ndarray:
     return tile(mesh, np.asarray(rows).reshape(-1, 2)[:, ::-1], mesh.n_points)
 
 
+def _symbol_row(t: np.ndarray, n_p: int) -> np.ndarray:
+    """slot_symbol's row j = 2*band + (1 - kind) of each triangle of t."""
+    j = t // (2 * n_p)
+    j *= 2
+    j += 1
+    j -= t % 2
+    return j
+
+
+def _symbol_bins(mesh: RingMesh, mat: sp.csr_matrix) -> np.ndarray:
+    """The bin of each stored entry of mat in slot_symbol's coefficients, in
+    entry order: ((off + 1) * 3 + d + 1) * 2 n_bands + j, with j the
+    _symbol_row of the entry's row, off that of its column minus j, and d
+    its slot offset.
+
+    Built in place, in the index type of the matrix, from per-row values
+    repeated over each row's entries: on paper62, 64-bit copies tripled the
+    transient memory, and a fresh array per step still held 1.5 times it.
+    """
+    n_p = mesh.n_points
+    c = mat.indices
+    counts = np.diff(mat.indptr)
+    rows = np.arange(mat.shape[0], dtype=c.dtype)
+    d = c // 2  # slot offset in -1 .. n_p - 2
+    d -= np.repeat(rows // 2, counts)
+    d += 1
+    d %= n_p
+    d -= 1
+    j = np.repeat(_symbol_row(rows, n_p), counts)
+    off = _symbol_row(c, n_p)
+    off -= j
+    if np.any(np.abs(off) > 1) or np.any(d > 1):
+        raise ValueError("operator couples beyond the tridiagonal slot-mode band")
+    off += 1
+    off *= 3
+    off += d
+    off += 1
+    off *= 2 * mesh.n_bands
+    off += j
+    return off
+
+
 def slot_symbol(mesh: RingMesh, mat: sp.spmatrix, modes) -> np.ndarray:
     """Tridiagonal symbol of a real slot-invariant operator in the slot modes q of modes.
 
@@ -356,17 +398,8 @@ def slot_symbol(mesh: RingMesh, mat: sp.spmatrix, modes) -> np.ndarray:
     """
     n_b, n_p = mesh.n_bands, mesh.n_points
     mat = sp.csr_matrix(mat)
-    # Row and column of every stored entry, in the index type of the matrix
-    # (no 64-bit copies: on paper62 they tripled the transient memory).
-    c = mat.indices
-    r = np.repeat(np.arange(mat.shape[0], dtype=c.dtype), np.diff(mat.indptr))
-    j = 2 * (r // (2 * n_p)) + 1 - r % 2
-    off = 2 * (c // (2 * n_p)) + 1 - c % 2 - j
-    d = ((c // 2 - r // 2 + 1) % n_p) - 1  # slot offset in -1 .. n_p - 2
-    if np.any(np.abs(off) > 1) or np.any(d > 1):
-        raise ValueError("operator couples beyond the tridiagonal slot-mode band")
     # np.bincount sums each bin in index order, as np.add.at does.
-    coef = np.bincount(((off + 1) * 3 + d + 1) * (2 * n_b) + j, mat.data, 18 * n_b)
+    coef = np.bincount(_symbol_bins(mesh, mat), mat.data, 18 * n_b)
     coef = coef.reshape(3, 3, 2 * n_b) / n_p
     phase = np.exp(2j * np.pi / n_p * np.outer(modes, [-1, 0, 1]))
     return np.einsum("odj,qd->oqj", coef, phase)

@@ -12,6 +12,7 @@ a mesh are consistent with the Laplacian; see fv.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,7 +110,8 @@ class RingMesh:
     Edges are sorted by their (low vertex, high vertex) pair; edge_L is -1 on
     the boundary. edge_normal points from triangle K toward L (outward at the
     boundary) and equals the unit vector along the circumcenter segment, so it
-    is exactly perpendicular to the edge.
+    is exactly perpendicular to the edge. The vertex-sharing adjacency graph
+    is built on first use, by the detectors, and kept.
     """
 
     params: MeshParams
@@ -126,7 +128,22 @@ class RingMesh:
     edge_d: np.ndarray
     edge_mid: np.ndarray
     edge_normal: np.ndarray
-    adjacency: sp.csr_matrix
+
+    @functools.cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """Vertex-sharing triangle graph, CSR with sorted indices. Only
+        triangle_shells and detect_by_vorticity read it."""
+        n_tri = self.n_triangles
+        inc = sp.csr_matrix(
+            (np.ones(3 * n_tri, dtype=np.int8),
+             (np.repeat(np.arange(n_tri), 3), self.triangles.ravel())),
+            shape=(n_tri, self.n_vertices),
+        )
+        graph = (inc @ inc.T).tocsr()
+        graph.setdiag(0)
+        graph.eliminate_zeros()
+        graph.sort_indices()
+        return graph
 
     @property
     def n_triangles(self) -> int:
@@ -238,16 +255,11 @@ def max_triangle_angle(params: MeshParams) -> float:
     return _max_angle(corners[:, 0], corners[:, 1], corners[:, 2])
 
 
-def build_ring_mesh(params: MeshParams) -> RingMesh:
-    """Build the twisted annulus triangulation for the given parameters."""
-    radii, n_p = _circles(params)
-    n_circ = radii.size
-    vertices = _vertex_positions(radii, n_p, np.arange(n_circ * n_p))
+def _oriented_triangles(vertices: np.ndarray, n_circ: int,
+                        n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangles in index order, each turned counterclockwise, with their
+    areas and circumcenters."""
     triangles = _slot_triangles(n_circ, n_p, np.arange(n_p))
-    n_tri = triangles.shape[0]
-    tri_idx = np.arange(n_tri)
-
-    # Canonical counterclockwise orientation.
     pa = vertices[triangles[:, 0]]
     pb = vertices[triangles[:, 1]]
     pc = vertices[triangles[:, 2]]
@@ -255,66 +267,99 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
              - (pb[:, 1] - pa[:, 1]) * (pc[:, 0] - pa[:, 0]))
     flip = cross < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    pb = vertices[triangles[:, 1]]
-    pc = vertices[triangles[:, 2]]
-    areas = 0.5 * np.abs(cross)
-    centers = _circumcenters(pa, pb, pc)
+    pb[flip], pc[flip] = pc[flip], pb[flip]  # the corners of the turned triangles
+    return triangles, 0.5 * np.abs(cross), _circumcenters(pa, pb, pc)
 
-    # Unique edges keyed by their sorted vertex pair; within one key the
-    # stable sort keeps triangle order, so edge_K < edge_L deterministically.
-    pairs = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    keys = pairs[:, 0].astype(np.int64) * (n_circ * n_p) + pairs[:, 1]
+
+def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
+    """low * n_vertices + high for the edges (0, 1), (1, 2) and (2, 0) of
+    every triangle, edge j of triangle t at 3 t + j."""
+    shifted = triangles[:, [1, 2, 0]]
+    keys = np.minimum(triangles, shifted)
+    keys *= n_vertices
+    keys += np.maximum(triangles, shifted)
+    return keys.ravel()
+
+
+def _unique_edges(triangles: np.ndarray,
+                  n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge vertex pairs (low, high) in ascending order, with the triangles
+    K and L on either side (L = -1 on the boundary).
+
+    Edge j of triangle t is instance 3 t + j, keyed by its sorted vertex
+    pair; within one key the stable sort keeps triangle order, so
+    edge_K < edge_L deterministically.
+    """
+    keys = _edge_keys(triangles, n_vertices)
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq_mask = np.empty(sorted_keys.size, dtype=bool)
-    uniq_mask[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=uniq_mask[1:])
-    starts = np.flatnonzero(uniq_mask)
-    counts = np.diff(np.append(starts, sorted_keys.size))
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, keys.size))
     if counts.max() > 2:
         raise RuntimeError("non-manifold edge in mesh construction")
-    n_edges = starts.size
-    tri_of_instance = np.repeat(tri_idx, 3)[order]
-    edge_K = tri_of_instance[starts]
-    edge_L = np.full(n_edges, -1, dtype=np.int64)
+    edge_vertices = np.stack(np.divmod(keys[starts], n_vertices), axis=1)
+    edge_L = np.full(starts.size, -1, dtype=np.int64)
     two = counts == 2
-    edge_L[two] = tri_of_instance[starts[two] + 1]
-    edge_vertices = pairs[order][starts]
+    edge_L[two] = order[starts[two] + 1] // 3
+    return edge_vertices, order[starts] // 3, edge_L
 
+
+def _edge_vectors(vertices: np.ndarray,
+                  edge_vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vector from the low to the high vertex of every edge, and its midpoint."""
     p0 = vertices[edge_vertices[:, 0]]
-    p1 = vertices[edge_vertices[:, 1]]
-    edge_vec = p1 - p0
-    edge_length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
-    edge_mid = 0.5 * (p0 + p1)
+    vec = vertices[edge_vertices[:, 1]]
+    mid = p0 + vec
+    mid *= 0.5
+    vec -= p0
+    return vec, mid
 
-    edge_d = np.empty(n_edges)
-    edge_normal = np.empty((n_edges, 2))
-    interior = two
-    dvec = centers[edge_L[interior]] - centers[edge_K[interior]]
-    dist = np.hypot(dvec[:, 0], dvec[:, 1])
-    edge_d[interior] = dist
-    edge_normal[interior] = dvec / dist[:, None]
-    bnd = ~two
+
+def _center_segments(centers: np.ndarray, edge_K: np.ndarray, edge_L: np.ndarray,
+                     interior: np.ndarray) -> np.ndarray:
+    """centers[L] - centers[K] across the given interior edges."""
+    seg = centers[edge_L[interior]]
+    seg -= centers[edge_K[interior]]
+    return seg
+
+
+def _edge_geometry(vertices: np.ndarray, centers: np.ndarray, edge_vertices: np.ndarray,
+                   edge_K: np.ndarray, edge_L: np.ndarray):
+    """Length, center distance d, midpoint and unit normal of every edge."""
+    edge_vec, edge_mid = _edge_vectors(vertices, edge_vertices)
+    edge_length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    edge_d = np.empty(edge_length.size)
+    edge_normal = np.empty((edge_length.size, 2))
+    interior = edge_L >= 0
+    seg = _center_segments(centers, edge_K, edge_L, interior)
+    edge_d[interior] = np.hypot(seg[:, 0], seg[:, 1])
+    seg /= edge_d[interior, None]
+    edge_normal[interior] = seg
+    bnd = ~interior
     # Boundary: unit normal to the edge, oriented away from the owning cell.
     tangent = edge_vec[bnd] / edge_length[bnd, None]
     nrm = np.column_stack([tangent[:, 1], -tangent[:, 0]])
     toward = edge_mid[bnd] - centers[edge_K[bnd]]
-    sign = np.sign(np.einsum("ij,ij->i", nrm, toward))
-    nrm *= sign[:, None]
+    nrm *= np.sign(np.einsum("ij,ij->i", nrm, toward))[:, None]
     edge_normal[bnd] = nrm
     edge_d[bnd] = np.einsum("ij,ij->i", nrm, toward)
+    return edge_length, edge_d, edge_mid, edge_normal
 
-    # Vertex-sharing adjacency as a CSR graph (shells, vorticity components).
-    inc = sp.csr_matrix(
-        (np.ones(3 * n_tri, dtype=np.int8), (np.repeat(tri_idx, 3), triangles.ravel())),
-        shape=(n_tri, n_circ * n_p),
-    )
-    graph = (inc @ inc.T).tocsr()
-    graph.setdiag(0)
-    graph.eliminate_zeros()
-    graph.sort_indices()
 
+def build_ring_mesh(params: MeshParams) -> RingMesh:
+    """Build the twisted annulus triangulation for the given parameters.
+
+    Each stage is a helper, so its temporaries are freed when it returns.
+    """
+    radii, n_p = _circles(params)
+    vertices = _vertex_positions(radii, n_p, np.arange(radii.size * n_p))
+    triangles, areas, centers = _oriented_triangles(vertices, radii.size, n_p)
+    edge_vertices, edge_K, edge_L = _unique_edges(triangles, vertices.shape[0])
+    edge_length, edge_d, edge_mid, edge_normal = _edge_geometry(
+        vertices, centers, edge_vertices, edge_K, edge_L)
     return RingMesh(
         params=params,
         radii=radii,
@@ -330,7 +375,6 @@ def build_ring_mesh(params: MeshParams) -> RingMesh:
         edge_d=edge_d,
         edge_mid=edge_mid,
         edge_normal=edge_normal,
-        adjacency=graph,
     )
 
 
@@ -338,8 +382,8 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
     """Graph-distance shells S_0 .. S_max_lambda around a triangle.
 
     Distance is hop count in the vertex-sharing adjacency graph. Each shell
-    comes back as a sorted array of triangle indices; shells past the graph
-    boundary are empty.
+    comes back as a sorted array of triangle indices; the search stops at
+    the first empty shell, and the shells past it are one shared empty array.
     """
     if not 0 <= center < mesh.n_triangles:
         raise ValueError("center triangle out of range")
@@ -348,10 +392,7 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
     visited[center] = True
     shells = [np.array([center], dtype=np.int64)]
     frontier = shells[0]
-    for _ in range(max_lambda):
-        if frontier.size == 0:
-            shells.append(np.empty(0, dtype=np.int64))
-            continue
+    while len(shells) <= max_lambda and frontier.size:
         # The CSR rows of the whole frontier in one gather: row t spans
         # indptr[t] .. indptr[t + 1], laid end to end.
         starts = indptr[frontier]
@@ -362,7 +403,7 @@ def triangle_shells(mesh: RingMesh, center: int, max_lambda: int) -> list[np.nda
         visited[nxt] = True
         shells.append(nxt)
         frontier = nxt
-    return shells
+    return shells + [np.empty(0, dtype=np.int64)] * (max_lambda + 1 - len(shells))
 
 
 @dataclass(frozen=True)
@@ -374,33 +415,45 @@ class AdmissibilityReport:
     is_admissible: bool
 
 
-def verify_admissibility(mesh: RingMesh) -> AdmissibilityReport:
-    """Check the properties the two-point flux scheme relies on.
-
-    All triangle angles acute, circumcenters strictly interior (margin is the
-    smallest barycentric coordinate of any circumcenter), circumcenter
-    segments orthogonal to their edges, and positive center separations.
-    """
-    pa = mesh.vertices[mesh.triangles[:, 0]]
-    pb = mesh.vertices[mesh.triangles[:, 1]]
-    pc = mesh.vertices[mesh.triangles[:, 2]]
-    max_angle = _max_angle(pa, pb, pc)
-
-    # Barycentric coordinates of the circumcenter in its triangle.
-    d = mesh.centers
+def _center_margin(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray,
+                   centers: np.ndarray) -> float:
+    """Smallest barycentric coordinate of any circumcenter in its triangle."""
+    d = centers
     det = ((pb[:, 0] - pa[:, 0]) * (pc[:, 1] - pa[:, 1])
            - (pb[:, 1] - pa[:, 1]) * (pc[:, 0] - pa[:, 0]))
     l1 = ((pb[:, 1] - pc[:, 1]) * (d[:, 0] - pc[:, 0])
           + (pc[:, 0] - pb[:, 0]) * (d[:, 1] - pc[:, 1])) / det
     l2 = ((pc[:, 1] - pa[:, 1]) * (d[:, 0] - pc[:, 0])
           + (pa[:, 0] - pc[:, 0]) * (d[:, 1] - pc[:, 1])) / det
-    margin = float(np.minimum(np.minimum(l1, l2), 1.0 - l1 - l2).min())
+    return float(np.minimum(np.minimum(l1, l2), 1.0 - l1 - l2).min())
 
-    p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
-    p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
-    tangent = (p1 - p0) / mesh.edge_length[:, None]
-    defect = float(np.abs(np.einsum("ij,ij->i", tangent, mesh.edge_normal)).max())
 
+def _angle_and_margin(mesh: RingMesh) -> tuple[float, float]:
+    """Largest triangle angle, and the smallest circumcenter margin."""
+    pa = mesh.vertices[mesh.triangles[:, 0]]
+    pb = mesh.vertices[mesh.triangles[:, 1]]
+    pc = mesh.vertices[mesh.triangles[:, 2]]
+    return _max_angle(pa, pb, pc), _center_margin(pa, pb, pc, mesh.centers)
+
+
+def _orthogonality_defect(mesh: RingMesh) -> float:
+    """Largest |cos| of an edge and its normal."""
+    tangent = mesh.vertices[mesh.edge_vertices[:, 1]]
+    tangent -= mesh.vertices[mesh.edge_vertices[:, 0]]
+    tangent /= mesh.edge_length[:, None]
+    return float(np.abs(np.einsum("ij,ij->i", tangent, mesh.edge_normal)).max())
+
+
+def verify_admissibility(mesh: RingMesh) -> AdmissibilityReport:
+    """Check the properties the two-point flux scheme relies on.
+
+    All triangle angles acute, circumcenters strictly interior (margin is the
+    smallest barycentric coordinate of any circumcenter), circumcenter
+    segments orthogonal to their edges, and positive center separations.
+    Each check is a helper, so its temporaries are freed when it returns.
+    """
+    max_angle, margin = _angle_and_margin(mesh)
+    defect = _orthogonality_defect(mesh)
     min_d = float(mesh.edge_d.min())
     ok = (max_angle < math.pi / 2.0 and margin > 0.0
           and defect < ORTHOGONALITY_TOL and min_d > 0.0)

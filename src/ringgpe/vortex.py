@@ -147,16 +147,18 @@ def detect_by_density(u: Field, params: DetectionParams) -> list[VortexRecord]:
     dens2 = np.concatenate([dens, dens], axis=1)
 
     # Confirming shell per candidate (0: unconfirmed), and per (band, kind) the
-    # labels of the shells 0 .. lambda_max around slot 0, split at ends.
+    # labels of the shells 0 .. lam_max around slot 0, split at ends. No
+    # shell at or past index n_triangles holds a triangle.
+    lam_max = min(params.lambda_max, mesh.n_triangles)
     lam_of = np.zeros(band.size, dtype=np.int64)
     templates = {}
     for b, k in np.argwhere(below.any(axis=1)):
         in_group = np.flatnonzero((band == b) & (kind == k))
-        shells = triangle_shells(mesh, triangle[b, 0, k], params.lambda_max)
+        shells = triangle_shells(mesh, triangle[b, 0, k], lam_max)
         labels = slot_labels(mesh, np.concatenate(shells))
         ends = np.cumsum([0] + [shell.size for shell in shells])
         templates[b, k] = labels, ends
-        for lam in range(1, params.lambda_max + 1):
+        for lam in range(1, lam_max + 1):
             open_ = in_group[lam_of[in_group] == 0]
             # Shells past the graph boundary stay empty and confirm nothing.
             if open_.size == 0 or ends[lam] == ends[lam + 1]:

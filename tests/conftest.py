@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,18 @@ def shifted_triangles(mesh, triangles, slots):
     band, slot, kind = slot_labels(mesh, triangles)
     shifted = (slot + np.asarray(slots)[:, None]) % mesh.n_points
     return slot_view(mesh, np.arange(mesh.n_triangles))[band, shifted, kind]
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most memory it held at once beyond what it was
+    given, in bytes, from tracemalloc (the same to the byte in every run)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture(scope="session")

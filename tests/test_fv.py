@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
+from ringgpe.config import preset_config
 from ringgpe.mesh import MeshParams, build_ring_mesh
 from ringgpe.fv import (
     Field,
@@ -337,7 +338,8 @@ class TestScatterOracle:
 
 
 def branchy_assembly(mesh, bc):
-    """assemble_laplacian as it branched on bc in COO form (test oracle)."""
+    """assemble_laplacian as it branched on bc in COO form, with 64-bit COO
+    indices and A_T formed as the product diag(1/|K|) A (test oracle)."""
     n = mesh.n_triangles
     ie = mesh.interior_edges
     k = mesh.edge_K[ie]
@@ -392,3 +394,7 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_desk_mesh(self, mesh, bc):
         assert_assembly_matches_oracle(mesh, bc)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_paper62_mesh(self, bc):
+        assert_assembly_matches_oracle(build_ring_mesh(preset_config("paper62").mesh), bc)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -11,7 +12,9 @@ import pytest
 import ringgpe
 from ringgpe.cli import _THREAD_VARS
 from ringgpe.config import parse_config
+from ringgpe.dynamics import evolve
 from ringgpe.errors import ConfigError, NumericalError
+from ringgpe.fv import assemble_laplacian
 from ringgpe import harness
 from ringgpe.harness import (
     PIPELINE_STAGES,
@@ -20,6 +23,7 @@ from ringgpe.harness import (
     run_time_convergence,
 )
 from ringgpe.io import sha256_of
+from ringgpe.mesh import RingMesh
 
 TINY = """
 [mesh]
@@ -221,6 +225,44 @@ class TestPipeline:
         # The manifests hash every deterministic artifact, so comparing them
         # compares the trees.
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
+class TestLazyAdjacency:
+    """Only the detectors read the mesh's adjacency graph, so a run builds it
+    when a detector first asks and never otherwise."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The meshes whose graph is built while the test runs."""
+        built = []
+        build = RingMesh.adjacency.func
+
+        def counted(mesh):
+            built.append(mesh)
+            return build(mesh)
+
+        lazy = functools.cached_property(counted)
+        lazy.__set_name__(RingMesh, "adjacency")
+        monkeypatch.setattr(RingMesh, "adjacency", lazy)
+        return built
+
+    @pytest.mark.parametrize("stage", ["mesh", "ground-state", "evolve", "modes"])
+    def test_runs_without_detectors_never_build_it(self, tiny_cfg, tmp_path, builds, stage):
+        result = run_pipeline(tiny_cfg, tmp_path, stages=(stage,))
+        assert "adjacency" not in vars(result.mesh)
+        assert builds == []
+
+    def test_evolve_never_builds_it(self, tiny_cfg, tmp_path, builds):
+        gs = run_pipeline(tiny_cfg, tmp_path, stages=("ground-state",)).ground_state.field
+        op = assemble_laplacian(gs.mesh, tiny_cfg.bc)
+        evolve(gs, op, tiny_cfg.potential, tiny_cfg.potential.m, tiny_cfg.gamma, tiny_cfg.split)
+        assert "adjacency" not in vars(gs.mesh)
+        assert builds == []
+
+    def test_a_vortices_run_builds_it_once(self, tiny_cfg, tmp_path, builds):
+        result = run_pipeline(tiny_cfg, tmp_path, stages=("vortices",))
+        assert builds == [result.mesh]
+        assert "adjacency" in vars(result.mesh)
 
 
 # The former stage closure: a table of direct dependencies, pulled in

@@ -504,6 +504,14 @@ class TestRowAssembly:
     def test_no_columns_no_rows(self):
         assert list(rio._lines([])) == []
 
+    def test_repeated_floats_straddle_blocks(self):
+        # The few distinct texts are rendered once; each block gathers its own.
+        n = 2 * rio._BLOCK_ROWS + 3
+        column = np.resize(np.random.default_rng(3).standard_normal(7), n)
+        assert rio._repeated_float_text(column) is not None
+        columns = [np.arange(n), column]
+        assert b"".join(rio._lines(columns)) == reference_lines(columns, ",")
+
     def test_integer_extremes(self):
         columns = [np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]),
                    np.array([np.iinfo(np.uint64).max, 0, 10**19, 9999], dtype=np.uint64)]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringgpe.config import preset_config
 from ringgpe.fv import Field, assemble_laplacian, inner_product, norm
 from ringgpe.mesh import (
     MeshParams,
@@ -15,7 +17,7 @@ from ringgpe.mesh import (
     verify_admissibility,
     _increment_profile,
 )
-from conftest import shifted_triangles
+from conftest import shifted_triangles, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +298,61 @@ class TestShells:
     def test_bad_center_rejected(self, small_mesh):
         with pytest.raises(ValueError):
             triangle_shells(small_mesh, small_mesh.n_triangles, 2)
+
+
+def eager_adjacency(mesh):
+    """The vertex-sharing graph by the formula build_ring_mesh once ran on
+    every build (test oracle)."""
+    n_tri = mesh.n_triangles
+    inc = sp.csr_matrix(
+        (np.ones(3 * n_tri, dtype=np.int8), (np.repeat(np.arange(n_tri), 3), mesh.triangles.ravel())),
+        shape=(n_tri, mesh.n_vertices),
+    )
+    graph = (inc @ inc.T).tocsr()
+    graph.setdiag(0)
+    graph.eliminate_zeros()
+    graph.sort_indices()
+    return graph
+
+
+ADJACENCY_MESHES = {
+    "small": MeshParams(r_min=0.5, r_max=1.5, h=0.25),
+    "desk": MeshParams(r_min=0.6, r_max=1.4, h=0.06),
+    "paper62": preset_config("paper62").mesh,
+}
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("name", sorted(ADJACENCY_MESHES))
+    def test_built_on_first_use_as_the_eager_graph(self, name):
+        mesh = build_ring_mesh(ADJACENCY_MESHES[name])
+        assert "adjacency" not in vars(mesh)
+        got, want = mesh.adjacency, eager_adjacency(mesh)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
+        assert got.shape == want.shape and got.has_sorted_indices
+        assert mesh.adjacency is got
+
+
+class TestSetUpMemory:
+    """tracemalloc peaks of the paper62 set-up against the bytes each step
+    returns. Each step frees its temporaries as it goes: the mesh build
+    peaked at 2.6 times its mesh, the assembly at 2.3 times its matrices."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2))  # first-call costs
+        return preset_config("paper62").mesh
+
+    def test_mesh_build(self, params):
+        mesh, peak = traced_peak(build_ring_mesh, params)
+        held = sum(a.nbytes for a in vars(mesh).values() if isinstance(a, np.ndarray))
+        assert peak < 2 * held
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_laplacian_assembly(self, params, bc):
+        mesh = build_ring_mesh(params)
+        op, peak = traced_peak(assemble_laplacian, mesh, bc)
+        held = sum(a.nbytes for m in (op.A, op.A_T) for a in (m.data, m.indices, m.indptr))
+        assert peak < 2 * held

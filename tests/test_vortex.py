@@ -20,7 +20,7 @@ from ringgpe.vortex import (
     pseudo_vorticity,
     regularized_vorticity,
 )
-from conftest import shifted_triangles
+from conftest import shifted_triangles, traced_peak
 
 CORE_WIDTH = 0.05
 
@@ -377,6 +377,18 @@ class TestTemplateDetector:
         assert sorted(calls) == list(2 * band * mesh.n_points + kind)
         assert groups.size < cand.size
         assert len(recs) == 4
+
+
+class TestShellDepth:
+    def test_lambda_max_past_the_mesh_costs_nothing(self):
+        # No shell past the triangle count holds a triangle. Searching all
+        # 10^5 levels held ~15 MB of empty shells on these 378 triangles.
+        mesh = build_ring_mesh(MeshParams(r_min=0.6, r_max=1.4, h=0.2))
+        u = planted_state(mesh, [1.0 + 0j], [+1])
+        want = detect_by_density(u, DetectionParams())
+        got, peak = traced_peak(detect_by_density, u, DetectionParams(lambda_max=10**5))
+        assert got == want and len(want) == 1
+        assert peak < 2**20
 
 
 class TestSameBandPreTest:
